@@ -25,7 +25,6 @@ from .ledger import (
     ChannelEvent,
     Identity,
     Ledger,
-    LedgerBridge,
     Role,
     Transaction,
     replay_audit_log,

@@ -55,6 +55,10 @@ class NoSuchChannelError(LedgerError):
     pass
 
 
+class InvalidTransactionError(LedgerError):
+    """Transaction is malformed or out of order (tx id, timestamp, height)."""
+
+
 class ChaincodeError(LedgerError):
     """Base class for chaincode rejections; the transaction is not committed."""
 

@@ -2,10 +2,15 @@
 
 A single in-process ordering service with immediate finality stands in for a
 real blockchain network: certificate-based identities issued by a built-in
-authority, named channels carrying totally ordered transactions, chaincode
-dispatched on commit, and an event feed per subscriber. Signing keys are
-derived deterministically from the ledger seed so that a run's audit log is
-reproducible byte for byte.
+authority, two fixed channels carrying totally ordered transactions
+(`_members`, open to the authority alone, and `pol`, open to every role),
+chaincode dispatched on commit, and an event feed per subscriber. Signing
+keys are derived deterministically from the ledger seed so that a run's
+audit log is reproducible byte for byte.
+
+Every admission decision is made in one place, LedgerState.commit: the live
+ledger commits through it, and audit replay re-commits each logged record
+through it, so the two accept exactly the same transactions.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import hashlib
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -33,6 +38,8 @@ from .errors import (
     AssetConflictError,
     AssetNotFoundError,
     ChaincodeError,
+    InvalidTransactionError,
+    LedgerError,
     NoSuchChannelError,
     UnauthorizedError,
 )
@@ -267,8 +274,11 @@ def encode_asset_payload(asset_id: str, data: bytes) -> bytes:
 
 
 def decode_asset_payload(payload: bytes) -> tuple[str, bytes]:
-    asset_id, off = read_lps(payload, 0)
-    data, off = read_lp(payload, off)
+    try:
+        asset_id, off = read_lps(payload, 0)
+        data, off = read_lp(payload, off)
+    except ValueError as exc:
+        raise ChaincodeError(f"bad asset payload: {exc}") from None
     if off != len(payload):
         raise ChaincodeError("trailing bytes in asset payload")
     return asset_id, data
@@ -279,7 +289,10 @@ def encode_asset_delete_payload(asset_id: str) -> bytes:
 
 
 def decode_asset_delete_payload(payload: bytes) -> str:
-    asset_id, off = read_lps(payload, 0)
+    try:
+        asset_id, off = read_lps(payload, 0)
+    except ValueError as exc:
+        raise ChaincodeError(f"bad asset delete payload: {exc}") from None
     if off != len(payload):
         raise ChaincodeError("trailing bytes in asset delete payload")
     return asset_id
@@ -287,14 +300,112 @@ def decode_asset_delete_payload(payload: bytes) -> str:
 
 # -- the ledger ----------------------------------------------------------------
 
+# Channel admission is fixed, so an audit log alone decides every replay.
+CHANNEL_ROLES: dict[str, frozenset[Role]] = {
+    MEMBERSHIP_CHANNEL: frozenset({Role.AUTHORITY}),
+    DEFAULT_CHANNEL: frozenset(Role),
+}
+
+
 class _Channel:
-    def __init__(self, name: str, admitted_roles: frozenset[Role]):
-        self.name = name
-        self.admitted_roles = admitted_roles
+    def __init__(self, roles: frozenset[Role], chaincodes: list):
+        self.roles = roles
         self.log: list[Transaction] = []
         self.assets: dict[str, Asset] = {}
-        self.subscribers: list[Subscription] = []
-        self.chaincodes: list = [AssetChaincode()]
+        self.chaincodes = chaincodes
+
+
+def _verify(public_key: bytes, signature: bytes, data: bytes, what: str) -> None:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
+    except (InvalidSignature, ValueError):
+        raise UnauthorizedError(f"{what} invalid") from None
+
+
+class LedgerState:
+    """Registry, channels and journal, changed only through commit().
+
+    The live ledger and audit replay both admit transactions here, so a
+    replay accepts exactly the records the live ledger accepted.
+    """
+
+    def __init__(self, chaincode_factory: Callable[[], list]):
+        self.registry: dict[str, Certificate] = {}
+        self.authority_public: Optional[bytes] = None
+        # chaincode_factory gives the default channel's chaincode set; the
+        # membership channel always runs the asset chaincode alone.
+        self.channels = {
+            name: _Channel(roles, chaincode_factory() if name == DEFAULT_CHANNEL
+                           else [AssetChaincode()])
+            for name, roles in CHANNEL_ROLES.items()
+        }
+        self.journal: list[tuple[int, Transaction]] = []  # (height, tx) in commit order
+
+    def channel(self, name: str) -> _Channel:
+        ch = self.channels.get(name)
+        if ch is None:
+            raise NoSuchChannelError(f"no such channel {name!r}")
+        return ch
+
+    def commit(self, tx: Transaction) -> int:
+        """Admit tx at the next height of its channel and return that height.
+
+        Identity checks use the registered certificate, never one the
+        submitter presents; the first ENROLL on the membership channel
+        bootstraps the self-signed authority. Any failure raises a
+        LedgerError and leaves the state untouched.
+        """
+        ch = self.channel(tx.channel)
+        height = len(ch.log) + 1
+        try:
+            tx_id = compute_tx_id(tx.channel, tx.tx_type, tx.payload, tx.timestamp,
+                                  height, tx.submitter)
+        except (ValueError, struct.error) as exc:
+            raise InvalidTransactionError(f"unencodable transaction: {exc}") from None
+        if tx_id != tx.tx_id:
+            raise InvalidTransactionError("tx id mismatch")
+
+        cert = self.registry.get(tx.submitter)
+        enrollee = None
+        if tx.channel == MEMBERSHIP_CHANNEL and tx.tx_type == ENROLL_TX_TYPE:
+            try:
+                enrollee = Certificate.decode(tx.payload)
+            except ValueError as exc:
+                raise InvalidTransactionError(f"bad certificate: {exc}") from None
+            if enrollee.subject in self.registry:
+                raise AlreadyEnrolledError(f"{enrollee.subject!r} is already enrolled")
+            if self.authority_public is None:
+                if enrollee.subject != tx.submitter or enrollee.role is not Role.AUTHORITY:
+                    raise UnauthorizedError("first enrollment must be the self-signed authority")
+                cert = enrollee
+        if cert is None:
+            raise UnauthorizedError(f"submitter {tx.submitter!r} not enrolled")
+        if not cert.valid_from <= tx.timestamp <= cert.valid_to:
+            raise UnauthorizedError(
+                f"certificate of {tx.submitter!r} not valid at {tx.timestamp}"
+            )
+        if cert.role not in ch.roles:
+            raise UnauthorizedError(
+                f"role {cert.role.value} not admitted to channel {tx.channel!r}"
+            )
+        if self.journal and tx.timestamp < self.journal[-1][1].timestamp:
+            raise InvalidTransactionError("timestamp earlier than the previous commit")
+        _verify(cert.public_key, tx.signature, tx.signed_bytes(), "transaction signature")
+        if enrollee is not None:
+            _verify(self.authority_public or enrollee.public_key,
+                    enrollee.issuer_signature, enrollee.canonical_bytes(),
+                    "certificate signature")
+
+        for cc in ch.chaincodes:
+            if cc.handles(tx.tx_type):
+                cc.apply(ch.assets, tx)  # a LedgerError aborts the commit
+        if enrollee is not None:
+            self.registry[enrollee.subject] = enrollee
+            if self.authority_public is None:
+                self.authority_public = enrollee.public_key
+        ch.log.append(tx)
+        self.journal.append((height, tx))
+        return height
 
 
 def _derive_signing_key(key_material: bytes, name: str) -> Ed25519PrivateKey:
@@ -309,7 +420,11 @@ def _raw_public_bytes(key: Ed25519PrivateKey) -> bytes:
 
 
 class Ledger:
-    """Ordering service, membership registry, chaincode host and event hub."""
+    """Ordering service, certificate authority, chaincode host and event hub.
+
+    submit_transaction builds and signs a transaction; LedgerState.commit
+    alone decides whether it is admitted.
+    """
 
     def __init__(self, seed: int = 0, clock: Optional[SimClock] = None,
                  authority_name: str = "authority"):
@@ -318,48 +433,35 @@ class Ledger:
             b"uwbpol-ledger-keys|" + int(seed).to_bytes(8, "big", signed=False)
         ).digest()
         self._lock = threading.Lock()
-        self._channels: dict[str, _Channel] = {}
-        self._registry: dict[str, Certificate] = {}
-        self._journal: list[tuple[int, Transaction]] = []  # (height, tx) in commit order
+        self._state = LedgerState(lambda: [AssetChaincode()])
+        self._subscribers: dict[str, list[Subscription]] = {name: [] for name in CHANNEL_ROLES}
 
-        self.create_channel(MEMBERSHIP_CHANNEL, roles=(Role.AUTHORITY,))
-        self.create_channel(DEFAULT_CHANNEL)
-
-        key = _derive_signing_key(self._key_material, authority_name)
-        self._authority_key = key
-        self._authority_public = _raw_public_bytes(key)
-        cert = self._issue_certificate(authority_name, Role.AUTHORITY, self._authority_public)
-        self.authority = Identity(authority_name, Role.AUTHORITY, self._authority_public,
-                                  cert, key)
-        self._registry[authority_name] = cert
-        self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE, cert.encode())
+        self._authority_key = _derive_signing_key(self._key_material, authority_name)
+        self.authority = self._issue(authority_name, Role.AUTHORITY, self._authority_key)
+        self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
+                                self.authority.certificate.encode())
 
     # -- identities --
 
-    def _issue_certificate(self, name: str, role: Role, public_key: bytes) -> Certificate:
+    def _issue(self, name: str, role: Role, key: Ed25519PrivateKey) -> Identity:
+        public = _raw_public_bytes(key)
         valid_from = self.clock.now_ns
-        valid_to = valid_from + CERT_VALIDITY_NS
-        unsigned = Certificate(name, role, public_key, valid_from, valid_to, b"")
-        signature = self._authority_key.sign(unsigned.canonical_bytes())
-        return Certificate(name, role, public_key, valid_from, valid_to, signature)
+        unsigned = Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS, b"")
+        cert = replace(unsigned,
+                       issuer_signature=self._authority_key.sign(unsigned.canonical_bytes()))
+        return Identity(name, role, public, cert, key)
 
     def enroll_identity(self, name: str, role: Role) -> Identity:
-        """Create a fresh keypair and authority-signed certificate for name."""
-        with self._lock:
-            if name in self._registry:
-                raise AlreadyEnrolledError(f"{name!r} is already enrolled")
-            key = _derive_signing_key(self._key_material, name)
-            public = _raw_public_bytes(key)
-            cert = self._issue_certificate(name, role, public)
-            self._registry[name] = cert
-        identity = Identity(name, role, public, cert, key)
-        self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE, cert.encode())
+        """Create a keypair and authority-signed certificate for name and enroll it."""
+        identity = self._issue(name, role, _derive_signing_key(self._key_material, name))
+        self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
+                                identity.certificate.encode())
         return identity
 
     def verify_identity(self, cert: Certificate, now_ns: Optional[int] = None) -> VerificationResult:
         """Check issuer signature, validity window and membership."""
         try:
-            Ed25519PublicKey.from_public_bytes(self._authority_public).verify(
+            Ed25519PublicKey.from_public_bytes(self.authority.public_key).verify(
                 cert.issuer_signature, cert.canonical_bytes()
             )
         except (InvalidSignature, ValueError):
@@ -369,50 +471,30 @@ class Ledger:
             return VerificationResult(False, "not-yet-valid")
         if now > cert.valid_to:
             return VerificationResult(False, "expired")
-        registered = self._registry.get(cert.subject)
+        registered = self._state.registry.get(cert.subject)
         if registered is None or registered.public_key != cert.public_key:
             return VerificationResult(False, "unknown-subject")
         return VerificationResult(True, "ok")
 
     # -- channels --
 
-    def create_channel(self, name: str,
-                       roles: Iterable[Role] = (Role.UAV, Role.PLATFORM, Role.AUTHORITY)) -> None:
-        if name in self._channels:
-            raise ValueError(f"channel {name!r} already exists")
-        self._channels[name] = _Channel(name, frozenset(roles))
-
-    def _channel(self, name: str) -> _Channel:
-        ch = self._channels.get(name)
-        if ch is None:
-            raise NoSuchChannelError(f"no such channel {name!r}")
-        return ch
-
     def install_chaincode(self, channel: str, chaincode) -> None:
-        self._channel(channel).chaincodes.append(chaincode)
+        self._state.channel(channel).chaincodes.append(chaincode)
 
     def height(self, channel: str) -> int:
-        return len(self._channel(channel).log)
+        return len(self._state.channel(channel).log)
 
     def transactions(self, channel: str) -> tuple[Transaction, ...]:
-        return tuple(self._channel(channel).log)
+        return tuple(self._state.channel(channel).log)
 
     # -- transactions --
 
     def submit_transaction(self, identity: Identity, channel: str, tx_type: str,
                            payload: bytes) -> Receipt:
-        """Order, validate, commit, and fan out one transaction."""
+        """Sign one transaction as identity, commit it, and fan out its event."""
         with self._lock:
-            verdict = self.verify_identity(identity.certificate)
-            if not verdict:
-                raise UnauthorizedError(f"identity rejected: {verdict.reason}")
-            ch = self._channel(channel)
-            if identity.role not in ch.admitted_roles:
-                raise UnauthorizedError(
-                    f"role {identity.role.value} not admitted to channel {channel!r}"
-                )
             timestamp = self.clock.now_ns
-            height = len(ch.log) + 1
+            height = self.height(channel) + 1
             signature = identity.sign(
                 transaction_signed_bytes(channel, tx_type, payload, timestamp)
             )
@@ -425,42 +507,38 @@ class Ledger:
                 timestamp=timestamp,
                 signature=signature,
             )
-            for cc in ch.chaincodes:
-                if cc.handles(tx_type):
-                    cc.apply(ch.assets, tx)  # ChaincodeError aborts the commit
-            ch.log.append(tx)
-            self._journal.append((height, tx))
+            self._state.commit(tx)
             self.clock.advance(COMMIT_LATENCY_NS)
             event = ChannelEvent(channel, height, tx_type, payload, tx.tx_id)
-            for sub in ch.subscribers:
+            for sub in self._subscribers[channel]:
                 sub._offer(event)
             return Receipt(height, tx.tx_id)
 
     def subscribe(self, channel: str, tx_type_filter: Optional[str] = None) -> Subscription:
         """New event feed starting at the channel's current height."""
-        ch = self._channel(channel)
+        self._state.channel(channel)
         sub = Subscription(channel, tx_type_filter)
-        ch.subscribers.append(sub)
+        self._subscribers[channel].append(sub)
         return sub
 
     # -- chaincode state --
 
     def query_asset(self, channel: str, asset_id: str) -> Asset:
         """Read committed state directly; no transaction is recorded."""
-        asset = self._channel(channel).assets.get(asset_id)
+        asset = self._state.channel(channel).assets.get(asset_id)
         if asset is None:
             raise AssetNotFoundError(f"asset {asset_id!r} not found")
         return asset
 
     def assets_snapshot(self, channel: str) -> dict[str, Asset]:
-        return dict(self._channel(channel).assets)
+        return dict(self._state.channel(channel).assets)
 
     # -- audit log --
 
     def write_audit_log(self, path) -> None:
         """Append-only style dump: one tab-separated record per commit."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for height, tx in self._journal:
+            for height, tx in self._state.journal:
                 fh.write(format_audit_record(height, tx) + "\n")
 
 
@@ -477,43 +555,6 @@ def format_audit_record(height: int, tx: Transaction) -> str:
     ))
 
 
-# -- pub/sub bridge --------------------------------------------------------------
-
-class LedgerBridge:
-    """Relay between a topic-based pub/sub world and ledger transactions.
-
-    Each mapped topic becomes exactly one transaction per published message;
-    each committed transaction of a mapped type comes back out as exactly one
-    delivered message. Unmapped topics are dropped with an audit entry.
-    """
-
-    def __init__(self, ledger: Ledger, identity: Identity,
-                 mappings: dict[str, tuple[str, str]]):
-        self.ledger = ledger
-        self.identity = identity
-        self.mappings = dict(mappings)
-        self.dropped: list[tuple[str, bytes]] = []
-        self._subs: list[tuple[str, Subscription]] = [
-            (topic, ledger.subscribe(channel, tx_type))
-            for topic, (channel, tx_type) in self.mappings.items()
-        ]
-
-    def publish(self, topic: str, payload: bytes) -> Optional[Receipt]:
-        mapping = self.mappings.get(topic)
-        if mapping is None:
-            self.dropped.append((topic, payload))
-            return None
-        channel, tx_type = mapping
-        return self.ledger.submit_transaction(self.identity, channel, tx_type, payload)
-
-    def poll_delivered(self) -> list[tuple[str, bytes]]:
-        out = []
-        for topic, sub in self._subs:
-            for event in sub.drain():
-                out.append((topic, event.payload))
-        return out
-
-
 # -- audit replay -----------------------------------------------------------------
 
 @dataclass
@@ -528,25 +569,19 @@ class ReplayResult:
 
 def replay_audit_log(
     path,
-    chaincode_factory: Optional[Callable[[], Sequence]] = None,
+    chaincode_factory: Optional[Callable[[], list]] = None,
 ) -> ReplayResult:
-    """Re-run an audit log from scratch, verifying every record.
+    """Re-run an audit log from scratch through LedgerState.commit.
 
-    Checks per record: parseability, per-channel height continuity, a
-    recomputed tx id, and the submitter's signature under the certificate
-    chain reconstructed from ENROLL records (the first of which must be the
-    self-signed authority). Chaincode is re-dispatched so the final asset
-    state can be compared with the live ledger.
+    Each record is parsed, its per-channel height checked, and then
+    committed on the same fixed channels with the same checks as a live
+    commit, so replay accepts exactly what the live ledger accepted. Any
+    LedgerError stops the replay with the record's height and channel.
+    chaincode_factory gives the default channel's chaincode set (default:
+    the asset chaincode alone); pass the set the live ledger ran with, as
+    `uwbpol replay` passes `pol.standard_chaincodes`.
     """
-    if chaincode_factory is None:
-        chaincode_factory = lambda: [AssetChaincode()]
-
-    registry: dict[str, Certificate] = {}
-    authority_public: Optional[bytes] = None
-    heights: dict[str, int] = {}
-    assets: dict[str, dict[str, Asset]] = {}
-    chaincodes: dict[str, Sequence] = {}
-    records = 0
+    state = LedgerState(chaincode_factory or (lambda: [AssetChaincode()]))
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -556,83 +591,39 @@ def replay_audit_log(
 
     if raw and not raw.endswith("\n"):
         # A well-formed log ends every record with a newline.
-        return ReplayResult(False, 0, "unexpected end of log (truncated final record)",
-                            failure_height=None)
+        return ReplayResult(False, 0, "unexpected end of log (truncated final record)")
 
     for lineno, line in enumerate(raw.splitlines(), start=1):
+        records = len(state.journal)
         parts = line.split("\t")
         if len(parts) != 8:
             return ReplayResult(False, records,
                                 f"unexpected end of log (malformed record at line {lineno})")
         try:
             height = int(parts[0])
-            tx_id = bytes.fromhex(parts[1])
-            channel, tx_type, submitter = parts[2], parts[3], parts[4]
-            timestamp = int(parts[5])
-            payload = base64.b64decode(parts[6], validate=True)
-            signature = base64.b64decode(parts[7], validate=True)
+            tx = Transaction(
+                tx_id=bytes.fromhex(parts[1]),
+                channel=parts[2],
+                tx_type=parts[3],
+                payload=base64.b64decode(parts[6], validate=True),
+                submitter=parts[4],
+                timestamp=int(parts[5]),
+                signature=base64.b64decode(parts[7], validate=True),
+            )
         except (ValueError, binascii.Error) as exc:
             return ReplayResult(False, records,
                                 f"unparseable record at line {lineno}: {exc}")
-
-        expected_height = heights.get(channel, 0) + 1
-        if height != expected_height:
-            return ReplayResult(False, records,
-                                f"height gap on channel {channel!r}: got {height}, "
-                                f"expected {expected_height}",
-                                failure_height=height, failure_channel=channel)
-
-        if compute_tx_id(channel, tx_type, payload, timestamp, height, submitter) != tx_id:
-            return ReplayResult(False, records, "tx id mismatch",
-                                failure_height=height, failure_channel=channel)
-
-        # Membership bootstraps from ENROLL records.
-        if tx_type == ENROLL_TX_TYPE:
-            try:
-                cert = Certificate.decode(payload)
-            except (ValueError, KeyError) as exc:
-                return ReplayResult(False, records, f"bad certificate: {exc}",
-                                    failure_height=height, failure_channel=channel)
-            if authority_public is None:
-                if cert.subject != submitter or cert.role is not Role.AUTHORITY:
-                    return ReplayResult(False, records,
-                                        "first enrollment must be the self-signed authority",
-                                        failure_height=height, failure_channel=channel)
-                authority_public = cert.public_key
-            try:
-                Ed25519PublicKey.from_public_bytes(authority_public).verify(
-                    cert.issuer_signature, cert.canonical_bytes()
+        try:
+            expected_height = len(state.channel(tx.channel).log) + 1
+            if height != expected_height:
+                raise InvalidTransactionError(
+                    f"height gap on channel {tx.channel!r}: got {height}, "
+                    f"expected {expected_height}"
                 )
-            except (InvalidSignature, ValueError):
-                return ReplayResult(False, records, "certificate signature invalid",
-                                    failure_height=height, failure_channel=channel)
-            registry[cert.subject] = cert
+            state.commit(tx)
+        except LedgerError as exc:
+            return ReplayResult(False, records, str(exc),
+                                failure_height=height, failure_channel=tx.channel)
 
-        cert = registry.get(submitter)
-        if cert is None:
-            return ReplayResult(False, records, f"submitter {submitter!r} not enrolled",
-                                failure_height=height, failure_channel=channel)
-        try:
-            Ed25519PublicKey.from_public_bytes(cert.public_key).verify(
-                signature, transaction_signed_bytes(channel, tx_type, payload, timestamp)
-            )
-        except (InvalidSignature, ValueError):
-            return ReplayResult(False, records, "transaction signature invalid",
-                                failure_height=height, failure_channel=channel)
-
-        if channel not in chaincodes:
-            chaincodes[channel] = chaincode_factory()
-            assets[channel] = {}
-        tx = Transaction(tx_id, channel, tx_type, payload, submitter, timestamp, signature)
-        try:
-            for cc in chaincodes[channel]:
-                if cc.handles(tx_type):
-                    cc.apply(assets[channel], tx)
-        except ChaincodeError as exc:
-            return ReplayResult(False, records, f"chaincode rejected replayed tx: {exc}",
-                                failure_height=height, failure_channel=channel)
-
-        heights[channel] = height
-        records += 1
-
-    return ReplayResult(True, records, "ok", assets=assets)
+    assets = {name: dict(ch.assets) for name, ch in state.channels.items()}
+    return ReplayResult(True, len(state.journal), "ok", assets=assets)

@@ -212,12 +212,15 @@ class PolChaincode:
     """Ledger-side rules for the handshake's two transaction types.
 
     POL_REQUEST opens a session asset and pins its codes (codes are
-    single-use across sessions); POL_VERDICT closes it and must be
-    self-consistent, i.e. accepted exactly when distance <= buffer.
+    single-use across sessions); only the UAV it names may submit it.
+    POL_VERDICT closes it, only the platform the request names may submit
+    it, and it must be self-consistent, i.e. accepted exactly when
+    distance <= buffer.
     """
 
     def __init__(self):
         self._seen_codes: set[bytes] = set()
+        self._platforms: dict[bytes, str] = {}  # session id -> platform its request names
 
     def handles(self, tx_type: str) -> bool:
         return tx_type in (TX_POL_REQUEST, TX_POL_VERDICT)
@@ -228,6 +231,8 @@ class PolChaincode:
                 req = decode_pol_request(tx.payload)
             except ValueError as exc:
                 raise ChaincodeError(f"bad request payload: {exc}") from exc
+            if req.uav_id != tx.submitter:
+                raise UnauthorizedError(f"{tx.submitter!r} cannot request for {req.uav_id!r}")
             asset_id = SESSION_ASSET_PREFIX + req.session_id.hex()
             if asset_id in assets:
                 raise AssetConflictError(f"session {req.session_id.hex()} already open")
@@ -235,6 +240,7 @@ class PolChaincode:
                 raise ChaincodeError("session code reuse rejected")
             self._seen_codes.add(req.code_uav)
             self._seen_codes.add(req.code_platform)
+            self._platforms[req.session_id] = req.platform_id
             assets[asset_id] = Asset(asset_id, tx.payload, owner=tx.submitter, version=1)
         elif tx.tx_type == TX_POL_VERDICT:
             try:
@@ -247,6 +253,11 @@ class PolChaincode:
                 raise AssetNotFoundError(f"verdict for unknown session {session_id.hex()}")
             if current.version != 1:
                 raise ChaincodeError(f"session {session_id.hex()} already closed")
+            # Kept from the request itself: ASSET_CREATE can forge a session asset.
+            if self._platforms.get(session_id) != tx.submitter:
+                raise UnauthorizedError(
+                    f"{tx.submitter!r} is not the platform of session {session_id.hex()}"
+                )
             if verdict.accepted != (verdict.claim_to_estimate_distance <= verdict.buffer):
                 raise ChaincodeError("verdict inconsistent with its own distance/buffer")
             assets[asset_id] = Asset(

@@ -8,7 +8,6 @@ function of (scenario, seed).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 from .clock import SimClock
 from .errors import ScenarioError, UwbPolError
 from .geo import AnchorSet, EstimateResult, Position
-from .ledger import DEFAULT_CHANNEL, Identity, Ledger, Role, _derive_signing_key, _raw_public_bytes, Certificate
+from .ledger import DEFAULT_CHANNEL, Ledger, Role
 from .pol import (
     LocationClaim,
     PolChaincode,
@@ -329,17 +328,6 @@ def get_preset(name: str) -> Scenario:
 
 # -- attacks ---------------------------------------------------------------------
 
-def _rogue_identity(seed: int) -> Identity:
-    """An identity with a self-signed certificate no authority vouches for."""
-    material = hashlib.sha256(b"rogue|" + seed.to_bytes(8, "big")).digest()
-    key = _derive_signing_key(material, "rogue-uav")
-    public = _raw_public_bytes(key)
-    unsigned = Certificate("rogue-uav", Role.UAV, public, 0, 2**63, b"")
-    cert = Certificate("rogue-uav", Role.UAV, public, 0, 2**63,
-                       key.sign(unsigned.canonical_bytes()))
-    return Identity("rogue-uav", Role.UAV, public, cert, key)
-
-
 def _replay_tamper(stale_session_id: bytes, stale_code: bytes):
     def tamper(frame: RangingFrame) -> RangingFrame:
         return replace(frame, session_id=stale_session_id, code=stale_code)
@@ -388,7 +376,9 @@ def run(scenario: Scenario, seed_override: Optional[int] = None,
                 claim_pos = Position(claim_pos.x + off.x, claim_pos.y + off.y,
                                      claim_pos.z + off.z)
             elif attack.kind == ATTACK_WRONG_IDENTITY:
-                identity = _rogue_identity(seed)
+                # Certified by another ledger's authority, so never enrolled here.
+                identity = Ledger(seed=seed, authority_name="rogue-authority").enroll_identity(
+                    "rogue-uav", Role.UAV)
             elif attack.kind == ATTACK_CODE_REPLAY:
                 if last_session is not None:
                     stale_sid, stale_code = last_session

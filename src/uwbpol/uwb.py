@@ -199,6 +199,19 @@ class RadioNode:
         return int(self.local_time(sim_now_ns)) % 2**64
 
 
+@lru_cache(maxsize=64)  # a session sends the same few frames every round
+def _on_air(frame_type: FrameType, session_id: bytes, src_id: str, dst_id: str,
+            code: bytes) -> RangingFrame:
+    """A ranging frame as its receiver decodes it.
+
+    The timestamp field is left out: the initiator times the round trip on
+    its own clock and nothing reads the field, so the round trip through
+    the codec depends only on these arguments and runs once per distinct
+    frame.
+    """
+    return decode_frame(encode_frame(RangingFrame(frame_type, session_id, src_id, dst_id, code)))
+
+
 def ranging_exchange(
     initiator: RadioNode,
     responder: RadioNode,
@@ -228,16 +241,8 @@ def ranging_exchange(
             f"{responder.node_id} out of range ({true_dist:.1f} m > {channel.max_range} m)"
         )
 
-    now = channel.clock.now_ns
-    poll = RangingFrame(
-        FrameType.POLL,
-        session_id,
-        initiator.node_id,
-        responder.node_id,
-        code_to_send,
-        initiator.stamp(now),
-    )
-    poll_rx = decode_frame(encode_frame(poll))
+    poll_rx = _on_air(FrameType.POLL, session_id, initiator.node_id, responder.node_id,
+                      code_to_send)
     if channel.message_lost():
         channel.clock.advance(EXCHANGE_TIMEOUT_NS)
         raise RangingTimeout("poll lost")
@@ -250,15 +255,8 @@ def ranging_exchange(
         raise RangingTimeout("no response (responder stayed silent)")
 
     tof_ns = true_dist / SPEED_OF_LIGHT * 1e9
-    response = RangingFrame(
-        FrameType.RESPONSE,
-        session_id,
-        responder.node_id,
-        initiator.node_id,
-        responder_replies,
-        responder.stamp(now + tof_ns + responder.reply_delay),
-    )
-    response_rx = decode_frame(encode_frame(response))
+    response_rx = _on_air(FrameType.RESPONSE, session_id, responder.node_id,
+                          initiator.node_id, responder_replies)
     if channel.message_lost():
         channel.clock.advance(EXCHANGE_TIMEOUT_NS)
         raise RangingTimeout("response lost")

@@ -1,7 +1,10 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import uwbpol
 from uwbpol.geo import AnchorSet, Position
 
 FIG4_ANCHOR_COORDS = [("a0", 2.5, 0.6), ("a1", 2.5, 1.15),
@@ -35,3 +38,10 @@ def noisy_ranges(anchors: AnchorSet, target: Position, sigma: float,
             d = distance(pos, target) + (rng.gauss(0.0, sigma) if sigma > 0 else 0.0)
             out.append(RangeMeasurement(a_id, max(d, 0.0), sigma if sigma > 0 else 1e-9))
     return out
+
+
+def cli_env() -> dict:
+    """Environment in which a child `python -m uwbpol` imports this package."""
+    src = str(Path(uwbpol.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

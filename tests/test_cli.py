@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import cli_env
 from uwbpol import cli
 from uwbpol.cli import CSV_COLUMNS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
 
@@ -147,7 +148,7 @@ class TestProcessLevelDeterminism:
             proc = subprocess.run(
                 [sys.executable, "-m", "uwbpol", "run", "--preset", "fig4",
                  "--seed", "11", "--out", str(out), "--audit", str(audit)],
-                capture_output=True, text=True, timeout=300,
+                capture_output=True, text=True, timeout=300, env=cli_env(),
             )
             assert proc.returncode == EXIT_OK, proc.stderr
             outs.append((out.read_bytes(), audit.read_bytes()))

@@ -141,6 +141,17 @@ class TestRangingExchange:
                                  responder_expects=b"Z" * 16)
         assert b.audit_log and b.audit_log[-1][0] == "code-mismatch"
 
+    def test_repeated_frames_keep_their_codes(self):
+        # The codec runs once per distinct frame; the code is part of the frame.
+        a, b, ch = make_pair(10.0)
+        assert uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)[1] == CODE_B
+        _, code_back = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A,
+                                            responder_replies=b"Z" * 16)
+        assert code_back == b"Z" * 16
+        with pytest.raises(RangingTimeout):
+            uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A,
+                                 responder_expects=b"Z" * 16)
+
     def test_seeded_statistics_at_5m(self):
         a, b, ch = make_pair(5.0, noise_sigma=0.05, seed=42)
         vals = []
