@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from typing import Optional, Sequence
@@ -72,12 +73,9 @@ def report_rows(report: RunReport) -> list[dict]:
 
 
 def _write_csv(path: Optional[str], columns: list[str], rows: list[dict]) -> None:
-    if path is None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """CSV with CRLF line ends, to path or, when path is None, to stdout."""
+    with (open(path, "w", encoding="utf-8", newline="") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\r\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -95,12 +93,10 @@ def _resolve_scenario(args) -> Scenario:
 
 def cmd_run(args) -> int:
     try:
-        scenario = _resolve_scenario(args)
+        report = sim.run(_resolve_scenario(args), seed_override=args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    report = sim.run(scenario, seed_override=args.seed)
 
     try:
         if args.out is not None:

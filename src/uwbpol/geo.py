@@ -153,13 +153,14 @@ def twr_distance(t_round_ns: float, t_reply_ns: float, c: float = SPEED_OF_LIGHT
     return c * (t_round_ns - t_reply_ns) * 1e-9 / 2.0
 
 
-def error_radius(jacobian: np.ndarray, ssr: float, dimension: int) -> float:
+def error_radius(jacobian: np.ndarray, ssr: float) -> float:
     """Scalar 1-sigma error radius of a converged fit.
 
     Uses the parameter covariance of the linearized problem:
-    sqrt(trace(sigma_hat^2 * (J^T J)^-1)) with sigma_hat^2 = SSR/(n - dimension).
+    sqrt(trace(sigma_hat^2 * (J^T J)^-1)) with sigma_hat^2 = SSR/(n - dimension),
+    where the jacobian is n x dimension.
     """
-    n = jacobian.shape[0]
+    n, dimension = jacobian.shape
     if n <= dimension:
         raise InsufficientDofError(
             f"error radius needs more than {dimension} measurements, got {n}"
@@ -217,7 +218,6 @@ def _gauss_newton(p: np.ndarray, pts: np.ndarray, dists: np.ndarray,
 def multilaterate(
     anchors: AnchorSet,
     ranges: Sequence[RangeMeasurement],
-    dimension: int = 2,
     init: Optional[Position] = None,
     max_iterations: int = GN_MAX_ITERATIONS,
     step_tol: float = GN_STEP_TOL,
@@ -234,13 +234,11 @@ def multilaterate(
     what keeps the solver out of the mirror-image local minimum that plagues
     thin anchor geometries. Converged means the step norm dropped below
     step_tol within max_iterations.
+
+    The dimension is the anchor set's; AnchorSet checked it and the anchor
+    geometry when it was built, so only the ranges are checked here.
     """
-    if dimension not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dimension}")
-    if anchors.dimension != dimension:
-        raise GeometryError(
-            f"anchor set built for {anchors.dimension}D, requested {dimension}D"
-        )
+    dimension = anchors.dimension
     ranges = list(ranges)
     for m in ranges:
         if m.anchor_id not in anchors:
@@ -279,7 +277,7 @@ def multilaterate(
         warnings = (WARN_FEW_ANCHORS,)
 
     n = len(ranges)
-    er = error_radius(jac, ssr, dimension) if (n > dimension and converged) else 0.0
+    er = error_radius(jac, ssr) if (n > dimension and converged) else 0.0
     return EstimateResult(
         position=Position.from_array(p),
         residual_rms=math.sqrt(ssr / n),

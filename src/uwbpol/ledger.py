@@ -495,17 +495,19 @@ class Ledger:
         with self._lock:
             timestamp = self.clock.now_ns
             height = self.height(channel) + 1
-            signature = identity.sign(
-                transaction_signed_bytes(channel, tx_type, payload, timestamp)
-            )
+            try:
+                signed = transaction_signed_bytes(channel, tx_type, payload, timestamp)
+                tx_id = compute_tx_id(channel, tx_type, payload, timestamp, height, identity.name)
+            except ValueError as exc:  # a field too long for its length prefix
+                raise InvalidTransactionError(f"unencodable transaction: {exc}") from None
             tx = Transaction(
-                tx_id=compute_tx_id(channel, tx_type, payload, timestamp, height, identity.name),
+                tx_id=tx_id,
                 channel=channel,
                 tx_type=tx_type,
                 payload=payload,
                 submitter=identity.name,
                 timestamp=timestamp,
-                signature=signature,
+                signature=identity.sign(signed),
             )
             self._state.commit(tx)
             self.clock.advance(COMMIT_LATENCY_NS)
@@ -567,21 +569,19 @@ class ReplayResult:
     assets: dict[str, dict[str, Asset]] = field(default_factory=dict)
 
 
-def replay_audit_log(
-    path,
-    chaincode_factory: Optional[Callable[[], list]] = None,
-) -> ReplayResult:
+def replay_audit_log(path, chaincode_factory: Callable[[], list]) -> ReplayResult:
     """Re-run an audit log from scratch through LedgerState.commit.
 
     Each record is parsed, its per-channel height checked, and then
     committed on the same fixed channels with the same checks as a live
     commit, so replay accepts exactly what the live ledger accepted. Any
     LedgerError stops the replay with the record's height and channel.
-    chaincode_factory gives the default channel's chaincode set (default:
-    the asset chaincode alone); pass the set the live ledger ran with, as
-    `uwbpol replay` passes `pol.standard_chaincodes`.
+    chaincode_factory gives the default channel's chaincode set. It must be
+    the set the live ledger ran with, as `uwbpol replay` passes
+    `pol.standard_chaincodes` for logs that `sim.run` wrote; a smaller set
+    would accept records that the live ledger refused.
     """
-    state = LedgerState(chaincode_factory or (lambda: [AssetChaincode()]))
+    state = LedgerState(chaincode_factory)
 
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -326,11 +326,6 @@ class SetTimer:
 
 
 @dataclass(frozen=True)
-class RecordVerdict:
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
 class PolConfig:
     ranging_rounds: int = RANGING_ROUNDS
     poll_timeout_ns: int = POLL_TIMEOUT_NS
@@ -351,7 +346,6 @@ class PlatformContext:
     poll_src_id: str
     uav_node_id: str
     buffer: float
-    dimension: int = 2
 
 
 @dataclass(frozen=True)
@@ -429,7 +423,7 @@ def uav_step(session: PolSession, event, ctx: UavContext):
     if st == SessionState.VALIDATING and isinstance(event, VerdictIn):
         if event.session_id != session.session_id:
             raise ProtocolViolationError(st, event)
-        return _finish(session, event.verdict), [RecordVerdict(event.verdict)]
+        return _finish(session, event.verdict), []
 
     if isinstance(event, TimeoutIn) and st in (
         SessionState.REQUESTED, SessionState.POLLING,
@@ -496,9 +490,7 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
                 return (replace(session, retries=session.retries + 1),
                         [StartRanging(), SetTimer(cfg.poll_timeout_ns)])
             return _abort(session, "timeout"), []
-        estimate = multilaterate(
-            ctx.anchor_set, event.measurements, dimension=ctx.dimension
-        )
+        estimate = multilaterate(ctx.anchor_set, event.measurements)
         if not estimate.converged:
             return _abort(replace(session, estimate=estimate), "validation-unavailable"), []
         verdict = validate_location(session.claim, estimate, ctx.buffer, cfg.sigma_model)
@@ -515,7 +507,7 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
     if st == SessionState.VALIDATING and isinstance(event, VerdictIn):
         if event.session_id != session.session_id:
             raise ProtocolViolationError(st, event)
-        return _finish(session, event.verdict), [RecordVerdict(event.verdict)]
+        return _finish(session, event.verdict), []
 
     if st == SessionState.VALIDATING and isinstance(event, TimeoutIn):
         if session.retries < cfg.max_retries:
@@ -577,7 +569,6 @@ def run_session(
     session_rng: random.Random,
     buffer: float = DEFAULT_BUFFER_M,
     config: PolConfig = PolConfig(),
-    dimension: int = 2,
     poll_tamper: Optional[Callable[[RangingFrame], RangingFrame]] = None,
 ) -> SessionOutcome:
     """Drive one handshake to a terminal state on both sides.
@@ -603,7 +594,7 @@ def run_session(
         platform_step,
         PlatformContext(config, platform_party.anchor_set,
                         platform_party.anchor_nodes[0].node_id,
-                        uav_party.node.node_id, buffer, dimension),
+                        uav_party.node.node_id, buffer),
         platform_party.identity,
     )
     parties = {"uav": uav_rt, "platform": platform_rt}
@@ -663,14 +654,12 @@ def run_session(
                     code_expected=rt.session.code_uav,
                 ))
             covered = {m.anchor_id for m in measurements}
-            if len(covered) >= dimension + 1:
+            if len(covered) > platform_party.anchor_set.dimension:
                 result = RangingResultIn(True, tuple(measurements))
                 pending.append(("uav", RangingResultIn(True)))
                 pending.append(("platform", result))
             else:
                 pending.append(("platform", RangingResultIn(False)))
-        elif isinstance(action, RecordVerdict):
-            pass  # the verdict is already part of the session record
 
     def pump_ledger() -> None:
         # Route committed events to whichever machine is expecting them;

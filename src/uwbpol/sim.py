@@ -4,6 +4,13 @@ A scenario fixes the world (anchor layout, UAV attempts, channel model,
 error buffer, optional attack, seed); run() executes every attempt as an
 independent handshake session and reports what happened. Reports are a pure
 function of (scenario, seed).
+
+Each scenario invariant is checked once, by the constructor of the frozen
+type that holds it: AnchorSet (dimension, count, unique ids, geometry; the
+scenario's dimension is its anchor set's), ChannelParams (uwb.check_channel),
+AttackSpec (kind, offset) and Scenario (anchor ids as radio node ids, buffer,
+seed, attempts, attack target). So JSON, dataclasses.replace and sweeps all
+get the same ScenarioError, its message led by the field path.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 from .clock import SimClock
-from .errors import ScenarioError, UwbPolError
+from .errors import FrameEncodingError, ScenarioError, UwbPolError
 from .geo import AnchorSet, EstimateResult, Position
 from .ledger import DEFAULT_CHANNEL, Ledger, Role
 from .pol import (
@@ -31,7 +38,7 @@ from .pol import (
     Verdict,
     run_session,
 )
-from .uwb import ChannelModel, RadioNode, RangingFrame
+from .uwb import ChannelModel, RadioNode, RangingFrame, _check_id, check_channel
 
 ATTACK_GNSS_SPOOF = "GNSS_SPOOF"
 ATTACK_WRONG_IDENTITY = "WRONG_IDENTITY"
@@ -46,12 +53,22 @@ UAV_IDENTITY = "uav-1"
 PLATFORM_IDENTITY = "pad-1"
 
 
+def _is_index(value, stop: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < stop
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     noise_sigma: float = 0.05
     bias: float = 0.0
     loss_prob: float = 0.01
     max_range: float = 60.0
+
+    def __post_init__(self):
+        try:
+            check_channel(self.noise_sigma, self.bias, self.loss_prob, self.max_range)
+        except ValueError as exc:
+            raise ScenarioError(f"channel.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -71,15 +88,16 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ScenarioError(f"unknown attack kind {self.kind!r}")
+            raise ScenarioError(f"attack.kind: must be one of {list(ATTACK_KINDS)}")
         if self.kind == ATTACK_GNSS_SPOOF and self.offset is None:
-            raise ScenarioError("GNSS_SPOOF attack needs an offset")
+            raise ScenarioError("attack.offset: required for GNSS_SPOOF")
+        if self.kind != ATTACK_GNSS_SPOOF and self.offset is not None:
+            raise ScenarioError(f"attack.offset: not allowed for {self.kind}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    dimension: int
     anchors: AnchorSet
     attempts: tuple[Attempt, ...]
     channel: ChannelParams
@@ -88,17 +106,25 @@ class Scenario:
     attack: Optional[AttackSpec] = None
 
     def __post_init__(self):
+        for i, a_id in enumerate(self.anchors.ids):
+            path = f"anchors[{i}].id"
+            try:
+                _check_id(path, a_id)  # the rule every RadioNode id obeys
+            except FrameEncodingError as exc:
+                raise ScenarioError(str(exc)) from None
+            if a_id == UAV_NODE_ID:
+                raise ScenarioError(f"{path}: {UAV_NODE_ID!r} is the UAV's node id")
         if not self.attempts:
-            raise ScenarioError("attempts must be non-empty")
-        if self.buffer <= 0:
-            raise ScenarioError("buffer must be > 0")
-        if not 0 <= self.seed < 2**64:
-            raise ScenarioError("seed must fit an unsigned 64-bit integer")
-        if self.attack is not None and not (
-            0 <= self.attack.target_attempt < len(self.attempts)
-        ):
+            raise ScenarioError("attempts: must be non-empty")
+        if not (math.isfinite(self.buffer) and self.buffer > 0):
+            raise ScenarioError(f"buffer: must be finite and > 0, got {self.buffer!r}")
+        if not _is_index(self.seed, 2**64):
+            raise ScenarioError("seed: must be an unsigned 64-bit integer")
+        if self.attack is not None and not _is_index(self.attack.target_attempt,
+                                                     len(self.attempts)):
             raise ScenarioError(
-                f"attack.target_attempt {self.attack.target_attempt} out of range"
+                f"attack.target_attempt: {self.attack.target_attempt!r} is not an "
+                f"attempt index in [0, {len(self.attempts)})"
             )
 
 
@@ -165,9 +191,13 @@ def _require_keys(obj: dict, path: str, required: Sequence[str], optional: Seque
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number")
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:
+        raise ScenarioError(f"{path}: too large for a float") from None
+    if not math.isfinite(value):
         raise ScenarioError(f"{path}: must be finite")
-    return float(obj)
+    return value
 
 
 def _position(obj: dict, path: str, dimension: int) -> Position:
@@ -181,7 +211,12 @@ def _position(obj: dict, path: str, dimension: int) -> Position:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Validate a parsed scenario document; error messages carry field paths."""
+    """Build a Scenario from a parsed JSON document.
+
+    Checks only the document's shape and types: keys, finite numbers that
+    fit a float, positions (z = 0 in 2D) and `dimension` as the integer 2
+    or 3. The constructors check the values (see the module docstring).
+    """
     _require_keys(
         data, "scenario",
         ("name", "dimension", "anchors", "attempts", "channel", "buffer", "seed"),
@@ -191,8 +226,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: expected a non-empty string")
     dimension = data["dimension"]
-    if dimension not in (2, 3):
-        raise ScenarioError(f"dimension: must be 2 or 3, got {dimension!r}")
+    if type(dimension) is not int or dimension not in (2, 3):
+        raise ScenarioError(f"dimension: must be the integer 2 or 3, got {dimension!r}")
 
     if not isinstance(data["anchors"], list):
         raise ScenarioError("anchors: expected a list")
@@ -200,18 +235,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     for i, entry in enumerate(data["anchors"]):
         path = f"anchors[{i}]"
         _require_keys(entry, path, ("id", "x", "y"), ("z",))
-        a_id = entry["id"]
-        if not isinstance(a_id, str) or not 1 <= len(a_id.encode("utf-8")) <= 8:
-            raise ScenarioError(f"{path}.id: must be a 1..8 byte string")
-        pairs.append((a_id, _position({k: v for k, v in entry.items() if k != "id"},
-                                      path, dimension)))
+        if not isinstance(entry["id"], str):
+            raise ScenarioError(f"{path}.id: expected a string")
+        pairs.append((entry["id"], _position({k: v for k, v in entry.items() if k != "id"},
+                                             path, dimension)))
     try:
         anchors = AnchorSet(pairs, dimension=dimension)
     except UwbPolError as exc:
         raise ScenarioError(f"anchors: {exc}") from exc
 
-    if not isinstance(data["attempts"], list) or not data["attempts"]:
-        raise ScenarioError("attempts: expected a non-empty list")
+    if not isinstance(data["attempts"], list):
+        raise ScenarioError("attempts: expected a list")
     attempts = []
     for i, entry in enumerate(data["attempts"]):
         path = f"attempts[{i}]"
@@ -223,48 +257,19 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     ch = data["channel"]
     _require_keys(ch, "channel", (), ("noise_sigma", "bias", "loss_prob", "max_range"))
-    defaults = ChannelParams()
-    channel = ChannelParams(
-        noise_sigma=_number(ch.get("noise_sigma", defaults.noise_sigma), "channel.noise_sigma"),
-        bias=_number(ch.get("bias", defaults.bias), "channel.bias"),
-        loss_prob=_number(ch.get("loss_prob", defaults.loss_prob), "channel.loss_prob"),
-        max_range=_number(ch.get("max_range", defaults.max_range), "channel.max_range"),
-    )
-    if channel.noise_sigma < 0:
-        raise ScenarioError("channel.noise_sigma: must be >= 0")
-    if not 0.0 <= channel.loss_prob < 1.0:
-        raise ScenarioError("channel.loss_prob: must be in [0, 1)")
-    if channel.max_range <= 0:
-        raise ScenarioError("channel.max_range: must be > 0")
-
-    buffer = _number(data["buffer"], "buffer")
-    if buffer <= 0:
-        raise ScenarioError("buffer: must be > 0")
-
-    seed = data["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ScenarioError("seed: must be an unsigned 64-bit integer")
+    channel = ChannelParams(**{key: _number(value, f"channel.{key}")
+                               for key, value in ch.items()})
 
     attack = None
     if "attack" in data:
         at = data["attack"]
         _require_keys(at, "attack", ("kind", "target_attempt"), ("offset",))
-        kind = at["kind"]
-        if kind not in ATTACK_KINDS:
-            raise ScenarioError(f"attack.kind: must be one of {list(ATTACK_KINDS)}")
-        target = at["target_attempt"]
-        if isinstance(target, bool) or not isinstance(target, int):
-            raise ScenarioError("attack.target_attempt: expected an integer")
-        offset = None
-        if kind == ATTACK_GNSS_SPOOF:
-            if "offset" not in at:
-                raise ScenarioError("attack.offset: required for GNSS_SPOOF")
-            offset = _position(at["offset"], "attack.offset", dimension)
-        elif "offset" in at:
-            raise ScenarioError(f"attack.offset: not allowed for {kind}")
-        attack = AttackSpec(kind, target, offset)
+        offset = (_position(at["offset"], "attack.offset", dimension)
+                  if "offset" in at else None)
+        attack = AttackSpec(at["kind"], at["target_attempt"], offset)
 
-    return Scenario(name, dimension, anchors, tuple(attempts), channel, buffer, seed, attack)
+    return Scenario(name, anchors, tuple(attempts), channel,
+                    _number(data["buffer"], "buffer"), data["seed"], attack)
 
 
 def load_scenario(path) -> Scenario:
@@ -274,8 +279,8 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from None
     return scenario_from_dict(data)
 
 
@@ -323,7 +328,7 @@ def get_preset(name: str) -> Scenario:
     """Built-in scenarios mirroring the short- and long-distance experiments."""
     if name not in _PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; have {list(PRESET_NAMES)}")
-    return scenario_from_dict(json.loads(json.dumps(_PRESETS[name])))
+    return scenario_from_dict(_PRESETS[name])
 
 
 # -- attacks ---------------------------------------------------------------------
@@ -340,7 +345,9 @@ def _replay_tamper(stale_session_id: bytes, stale_code: bytes):
 def run(scenario: Scenario, seed_override: Optional[int] = None,
         config: Optional[PolConfig] = None) -> RunReport:
     """Run every attempt of the scenario as an independent session."""
-    seed = scenario.seed if seed_override is None else seed_override
+    if seed_override is not None:
+        scenario = replace(scenario, seed=seed_override)  # Scenario checks the seed
+    seed = scenario.seed
     config = config if config is not None else PolConfig()
     master = random.Random(seed)
     clock = SimClock()
@@ -349,14 +356,7 @@ def run(scenario: Scenario, seed_override: Optional[int] = None,
     uav_identity = lg.enroll_identity(UAV_IDENTITY, Role.UAV)
     platform_identity = lg.enroll_identity(PLATFORM_IDENTITY, Role.PLATFORM)
 
-    channel = ChannelModel(
-        noise_sigma=scenario.channel.noise_sigma,
-        bias=scenario.channel.bias,
-        loss_prob=scenario.channel.loss_prob,
-        max_range=scenario.channel.max_range,
-        seed=master.getrandbits(64),
-        clock=clock,
-    )
+    channel = ChannelModel(**asdict(scenario.channel), seed=master.getrandbits(64), clock=clock)
     anchor_nodes = tuple(RadioNode(a_id, pos) for a_id, pos in scenario.anchors.anchors)
     platform_party = PlatformParty(platform_identity, scenario.anchors, anchor_nodes)
 
@@ -399,7 +399,6 @@ def run(scenario: Scenario, seed_override: Optional[int] = None,
             session_rng,
             buffer=scenario.buffer,
             config=config,
-            dimension=scenario.dimension,
             poll_tamper=poll_tamper,
         )
         last_session = (outcome.uav.session_id, outcome.uav.code_platform)
@@ -441,17 +440,14 @@ def _scaled_about(center: Position, p: Position, s: float) -> Position:
 
 
 def apply_parameter(scenario: Scenario, parameter: str, value: float) -> Scenario:
+    """The scenario with one sweep parameter set; the constructors check the result."""
     if parameter == "noise_sigma":
-        if value < 0:
-            raise ScenarioError("noise_sigma must be >= 0")
         return replace(scenario, channel=replace(scenario.channel, noise_sigma=value))
     if parameter == "buffer":
-        if value <= 0:
-            raise ScenarioError("buffer must be > 0")
         return replace(scenario, buffer=value)
     if parameter == "distance_scale":
-        if value <= 0:
-            raise ScenarioError("distance_scale must be > 0")
+        if not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"distance_scale: must be finite and > 0, got {value!r}")
         center = scenario.anchors.centroid()
         attempts = tuple(
             Attempt(
@@ -475,11 +471,11 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float],
     """
     if not values:
         raise ValueError("values must be non-empty")
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}; have {list(SWEEP_PARAMETERS)}")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    variants = [apply_parameter(scenario, parameter, value) for value in values]
     rows = []
-    for value in values:
-        variant = apply_parameter(scenario, parameter, value)
+    for value, variant in zip(values, variants):
         accepted = 0
         total = 0
         radii: list[float] = []

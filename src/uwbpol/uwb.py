@@ -9,6 +9,7 @@ per-message loss.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass, field
@@ -125,6 +126,21 @@ def decode_frame(buf: bytes) -> RangingFrame:
         raise MalformedFrameError(str(exc)) from exc
 
 
+def check_channel(noise_sigma: float, bias: float, loss_prob: float,
+                  max_range: float) -> None:
+    """Raise ValueError, naming the parameter, unless the channel is valid."""
+    for name, value in (("noise_sigma", noise_sigma), ("bias", bias),
+                        ("loss_prob", loss_prob), ("max_range", max_range)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value!r}")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma: must be >= 0")
+    if not 0.0 <= loss_prob < 1.0:
+        raise ValueError("loss_prob: must be in [0, 1)")
+    if max_range <= 0:
+        raise ValueError("max_range: must be > 0")
+
+
 class ChannelModel:
     """Stochastic radio channel owned by one scenario.
 
@@ -141,12 +157,7 @@ class ChannelModel:
         seed: int = 0,
         clock: Optional[SimClock] = None,
     ):
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not 0.0 <= loss_prob < 1.0:
-            raise ValueError("loss_prob must be in [0, 1)")
-        if max_range <= 0:
-            raise ValueError("max_range must be > 0")
+        check_channel(noise_sigma, bias, loss_prob, max_range)
         self.noise_sigma = noise_sigma
         self.bias = bias
         self.loss_prob = loss_prob

@@ -1,14 +1,16 @@
 """CLI: exit codes, CSV schema and precision, audit replay command."""
 
 import base64
+import copy
 import csv
+import json
 import subprocess
 import sys
 
 import pytest
 
 from conftest import cli_env
-from uwbpol import cli
+from uwbpol import cli, sim
 from uwbpol.cli import CSV_COLUMNS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
 
 
@@ -67,6 +69,19 @@ class TestRunCommand:
         assert code == EXIT_IO
 
 
+    def test_huge_coordinate_usage_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(sim._PRESETS["fig4"])
+        doc["anchors"][0]["x"] = 10**400
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run_main(["run", str(path)]) == EXIT_USAGE
+        assert "anchors[0].x" in capsys.readouterr().err
+
+    def test_negative_seed_usage_error(self, capsys):
+        assert run_main(["run", "--preset", "fig4", "--seed", "-1"]) == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -87,6 +102,26 @@ class TestSweepCommand:
         code = run_main(["sweep", "--preset", "fig4", "--param", "buffer",
                          "--values", "a,b", "--reps", "2"])
         assert code == EXIT_USAGE
+
+    def test_nan_value_usage_error(self, capsys):
+        code = run_main(["sweep", "--preset", "fig4", "--param", "buffer",
+                         "--values", "nan", "--reps", "2"])
+        assert code == EXIT_USAGE
+        assert "buffer" in capsys.readouterr().err
+
+    def test_zero_reps_usage_error(self, capsys):
+        code = run_main(["sweep", "--preset", "fig4", "--param", "buffer",
+                         "--values", "1.0", "--reps", "0"])
+        assert code == EXIT_USAGE
+
+    def test_stdout_and_out_file_same_bytes(self, tmp_path, capsys):
+        args = ["sweep", "--preset", "fig4", "--param", "buffer", "--values", "0.5,1", "--reps", "2"]
+        assert run_main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "s.csv"
+        assert run_main(args + ["--out", str(out)]) == EXIT_OK
+        assert printed.encode("utf-8") == out.read_bytes()
+        assert printed.startswith("parameter,value,") and printed.endswith("\r\n")
 
     def test_unknown_param_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

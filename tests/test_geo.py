@@ -191,7 +191,7 @@ class TestMultilaterate:
         target = Position(2.0, 3.0, 1.5)
         ranges = [RangeMeasurement(a_id, geo.distance(pos, target), 1e-9)
                   for a_id, pos in anchors.anchors]
-        est = geo.multilaterate(anchors, ranges, dimension=3)
+        est = geo.multilaterate(anchors, ranges)
         assert est.converged
         assert geo.distance(est.position, target) < 1e-6
 
@@ -230,7 +230,7 @@ class TestErrorRadius:
     def test_undefined_dof(self):
         jac = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InsufficientDofError):
-            geo.error_radius(jac, 0.1, dimension=2)
+            geo.error_radius(jac, 0.1)
 
     def test_geometry_ordering_fig4_vs_fig5(self, fig4_anchors, fig5_anchors):
         # Same noise level, 1000 seeds each: the distant thin layout must

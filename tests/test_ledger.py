@@ -17,6 +17,7 @@ from uwbpol.errors import (
     AssetConflictError,
     AssetNotFoundError,
     ChaincodeError,
+    InvalidTransactionError,
     LedgerError,
     NoSuchChannelError,
     UnauthorizedError,
@@ -45,6 +46,11 @@ from uwbpol.pol import (
     encode_pol_verdict,
     standard_chaincodes,
 )
+
+
+def asset_only():
+    """The default channel's chaincode set of a Ledger with none installed."""
+    return [led.AssetChaincode()]
 
 
 @pytest.fixture
@@ -140,6 +146,18 @@ class TestSubmit:
             lg.submit_transaction(alice, led.MEMBERSHIP_CHANNEL, ASSET_CREATE,
                                   encode_asset_payload("x", b"d"))
         assert lg.height(led.MEMBERSHIP_CHANNEL) == before
+
+    def test_oversized_field_is_invalid_transaction(self, lg, alice):
+        sub = lg.subscribe("pol")
+        heights, now = _heights(lg), lg.clock.now_ns
+        for identity, tx_type, payload in (
+            (alice, ASSET_CREATE, b"x" * 70_000),
+            (alice, "T" * 70_000, encode_asset_payload("x", b"d")),
+            (replace(alice, name="n" * 70_000), ASSET_CREATE, encode_asset_payload("x", b"d")),
+        ):
+            with pytest.raises(InvalidTransactionError, match="unencodable"):
+                lg.submit_transaction(identity, "pol", tx_type, payload)
+        assert _heights(lg) == heights and lg.clock.now_ns == now and len(sub) == 0
 
     def test_signature_covers_payload(self, lg, alice):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
@@ -241,7 +259,7 @@ class TestAuditReplay:
         self._populate(lg, alice, pad)
         path = tmp_path / "audit.log"
         lg.write_audit_log(path)
-        result = replay_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=asset_only)
         assert result.ok, result.message
         assert result.assets["pol"] == lg.assets_snapshot("pol")
 
@@ -262,7 +280,7 @@ class TestAuditReplay:
                 lines[i] = "\t".join(parts)
                 break
         path.write_text("\n".join(lines) + "\n")
-        result = replay_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=asset_only)
         assert not result.ok
         assert result.failure_height == 3
         assert result.failure_channel == "pol"
@@ -273,9 +291,16 @@ class TestAuditReplay:
         lg.write_audit_log(path)
         raw = path.read_text()
         path.write_text(raw[:len(raw) - 25])  # chop into the final record
-        result = replay_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=asset_only)
         assert not result.ok
         assert "unexpected end" in result.message
+
+    def test_chaincode_set_is_required(self, lg, tmp_path):
+        # An implied asset-only set would accept POL records a live PolChaincode refused.
+        path = tmp_path / "audit.log"
+        lg.write_audit_log(path)
+        with pytest.raises(TypeError):
+            replay_audit_log(path)
 
     def test_height_gap_detected(self, lg, alice, pad, tmp_path):
         self._populate(lg, alice, pad)
@@ -284,7 +309,7 @@ class TestAuditReplay:
         lines = path.read_text().splitlines()
         kept = [l for l in lines if not (l.split("\t")[2] == "pol" and l.split("\t")[0] == "2")]
         path.write_text("\n".join(kept) + "\n")
-        result = replay_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=asset_only)
         assert not result.ok
         assert "height gap" in result.message
 
@@ -331,7 +356,7 @@ def _next_record(lg, identity, channel, tx_type, payload, timestamp=None):
     return _signed_record(identity, channel, tx_type, payload, ts, lg.height(channel) + 1)
 
 
-def _replay_with(lg, record, path, chaincode_factory=None):
+def _replay_with(lg, record, path, chaincode_factory=asset_only):
     lg.write_audit_log(path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(record + "\n")

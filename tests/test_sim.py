@@ -1,6 +1,8 @@
 """Scenario loading, run orchestration, attacks, and parameter sweeps."""
 
+import copy
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -129,6 +131,33 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="target_attempt"):
             scenario_from_dict(doc)
 
+    def test_integer_too_large_for_float(self):
+        doc = valid_doc()
+        doc["anchors"][0]["x"] = 10**400
+        with pytest.raises(ScenarioError, match=r"anchors\[0\]\.x"):
+            scenario_from_dict(doc)
+
+    def test_anchor_id_must_be_a_radio_node_id(self):
+        for bad in ("a\x00", "uav", "", "abcdefghi"):
+            doc = valid_doc()
+            doc["anchors"][0]["id"] = bad
+            with pytest.raises(ScenarioError, match=r"anchors\[0\]\.id"):
+                scenario_from_dict(doc)
+
+    def test_dimension_must_be_the_integer(self):
+        for bad in (2.0, True, "2", 4):
+            doc = valid_doc()
+            doc["dimension"] = bad
+            with pytest.raises(ScenarioError, match="dimension"):
+                scenario_from_dict(doc)
+
+    def test_attack_offset_only_for_spoof(self):
+        doc = valid_doc()
+        doc["attack"] = {"kind": "WRONG_IDENTITY", "target_attempt": 0,
+                         "offset": {"x": 1.0, "y": 0.0}}
+        with pytest.raises(ScenarioError, match="attack.offset"):
+            scenario_from_dict(doc)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(valid_doc()), encoding="utf-8")
@@ -141,9 +170,62 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="JSON"):
             load_scenario(path)
 
+    def test_load_hostile_bytes(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for raw in (b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000):
+            path.write_bytes(raw)
+            with pytest.raises(ScenarioError, match="JSON"):
+                load_scenario(path)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
+
+
+class TestScenarioInvariants:
+    """The constructors check a scenario however it was built."""
+
+    def test_channel_checked_on_replace(self):
+        ch = get_preset("fig4").channel
+        for key, value in (("noise_sigma", -1.0), ("noise_sigma", math.nan),
+                           ("bias", math.nan), ("loss_prob", math.inf),
+                           ("max_range", math.nan), ("max_range", 0.0)):
+            with pytest.raises(ScenarioError, match=rf"channel\.{key}:"):
+                replace(ch, **{key: value})
+
+    def test_scenario_checked_on_replace(self):
+        sc = get_preset("fig4")
+        for changes, path in (({"buffer": math.nan}, "buffer"),
+                              ({"buffer": math.inf}, "buffer"),
+                              ({"seed": -1}, "seed"),
+                              ({"seed": 1.5}, "seed"),
+                              ({"attempts": ()}, "attempts"),
+                              ({"attack": AttackSpec(ATTACK_WRONG_IDENTITY, 2)},
+                               "attack.target_attempt")):
+            with pytest.raises(ScenarioError, match=path):
+                replace(sc, **changes)
+        with pytest.raises(ScenarioError, match="attack.offset"):
+            AttackSpec(ATTACK_CODE_REPLAY, 0, Position(1.0, 0.0))
+
+    def test_sweep_values_checked(self):
+        sc = get_preset("fig4")
+        for parameter in ("noise_sigma", "buffer", "distance_scale"):
+            with pytest.raises(ScenarioError, match=parameter):
+                sim.apply_parameter(sc, parameter, math.nan)
+        with pytest.raises(ScenarioError, match="noise_sigma"):
+            sim.apply_parameter(sc, "noise_sigma", -0.1)
+
+    def test_dimension_is_the_anchor_sets(self):
+        sc = get_preset("fig4")
+        assert sc.anchors.dimension == 2
+        with pytest.raises(TypeError):
+            replace(sc, dimension=3)
+
+    def test_get_preset_leaves_presets_unchanged(self):
+        before = copy.deepcopy(sim._PRESETS)
+        get_preset("fig4")
+        get_preset("fig4")
+        assert sim._PRESETS == before
 
 
 class TestRun:
@@ -235,6 +317,17 @@ class TestSweep:
     def test_bad_parameter(self):
         with pytest.raises(ValueError):
             sweep(get_preset("fig4"), "nope", [1.0], reps=1)
+
+    def test_seed_override_checked(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            run(get_preset("fig4"), seed_override=2**64)
+        sc = replace(get_preset("fig4"), seed=2**64 - 1)
+        with pytest.raises(ScenarioError, match="seed"):
+            sweep(sc, "buffer", [1.0], reps=2, config=PolConfig(ranging_rounds=1))
+
+    def test_zero_reps(self):
+        with pytest.raises(ValueError, match="reps"):
+            sweep(get_preset("fig4"), "buffer", [1.0], reps=0)
 
     def test_empty_values(self):
         with pytest.raises(ValueError):
