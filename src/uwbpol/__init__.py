@@ -12,7 +12,6 @@ from .geo import (
     AnchorSet,
     EstimateResult,
     Position,
-    RangeMeasurement,
     SPEED_OF_LIGHT,
     distance,
     error_radius,
@@ -48,8 +47,9 @@ from .uwb import (
     RangingFrame,
     decode_frame,
     encode_frame,
-    measure_target,
     ranging_exchange,
+    ranging_sweep,
+    transmit,
 )
 
 __version__ = "0.1.0"

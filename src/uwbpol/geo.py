@@ -55,26 +55,6 @@ class Position:
         return Position(float(a[0]), float(a[1]), float(a[2]))
 
 
-@dataclass(frozen=True)
-class RangeMeasurement:
-    """One measured anchor-to-target distance.
-
-    sigma is the assumed noise standard deviation of the measurement; it is
-    carried as metadata (the solver itself is unweighted).
-    """
-
-    anchor_id: str
-    distance: float
-    sigma: float = 0.05
-    timestamp: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.distance) or self.distance < 0:
-            raise ValueError(f"distance must be finite and >= 0, got {self.distance!r}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
-
-
 class AnchorSet:
     """Ordered set of named anchor positions with validated geometry.
 
@@ -139,14 +119,14 @@ def distance(p: Position, q: Position) -> float:
     return math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
 
 
-def twr_distance(t_round_ns: float, t_reply_ns: float, c: float = SPEED_OF_LIGHT) -> float:
-    """Single-sided two-way-ranging distance.
+def twr_distance(t_round_ns, t_reply_ns: float, c: float = SPEED_OF_LIGHT):
+    """Single-sided two-way-ranging distance; elementwise on an array of round trips.
 
     t_round_ns is the initiator's poll-to-response round-trip time and
     t_reply_ns the responder's internal reply delay, both in nanoseconds on
     their own local clocks (offsets cancel). Distance is c*(round - reply)/2.
     """
-    if t_round_ns < t_reply_ns:
+    if np.any(t_round_ns < t_reply_ns):
         raise InvalidTimingError(
             f"t_round ({t_round_ns} ns) must be >= t_reply ({t_reply_ns} ns)"
         )
@@ -217,16 +197,18 @@ def _gauss_newton(p: np.ndarray, pts: np.ndarray, dists: np.ndarray,
 
 def multilaterate(
     anchors: AnchorSet,
-    ranges: Sequence[RangeMeasurement],
+    ranges: Sequence[np.ndarray],
     init: Optional[Position] = None,
     max_iterations: int = GN_MAX_ITERATIONS,
     step_tol: float = GN_STEP_TOL,
 ) -> EstimateResult:
-    """Estimate a position from anchor ranges by Gauss-Newton least squares.
+    """Estimate a position from per-anchor range arrays by Gauss-Newton least squares.
 
-    Minimizes sum_i (||p - a_i|| - d_i)^2. Multiple measurements per anchor
-    are allowed and simply add residual rows, but the measurements must cover
-    at least dimension+1 distinct anchors.
+    ranges holds one 1-D array per anchor, in AnchorSet order: every
+    distance measured to that anchor, possibly none. All of them are pooled
+    as residual rows, so the fit minimizes sum_i sum_d (||p - a_i|| - d)^2
+    over anchors a_i and their distances d. At least dimension+1 anchors
+    must have a distance, and every distance must be finite and >= 0.
 
     With an explicit init, a single Gauss-Newton run starts there. Otherwise
     two runs start from the anchor centroid and from a closed-form linearized
@@ -239,19 +221,24 @@ def multilaterate(
     geometry when it was built, so only the ranges are checked here.
     """
     dimension = anchors.dimension
-    ranges = list(ranges)
-    for m in ranges:
-        if m.anchor_id not in anchors:
-            raise GeometryError(f"range references unknown anchor {m.anchor_id!r}")
-    covered = {m.anchor_id for m in ranges}
-    if len(covered) < dimension + 1:
+    if len(ranges) != len(anchors):
+        raise GeometryError(f"need one range array per anchor ({len(anchors)}), "
+                            f"got {len(ranges)}")
+    ranges = [np.asarray(r, dtype=float) for r in ranges]
+    for anchor_id, r in zip(anchors.ids, ranges):
+        if r.ndim != 1:
+            raise GeometryError(f"ranges to {anchor_id!r} must be a 1-D array")
+        if not np.all(np.isfinite(r) & (r >= 0)):
+            raise GeometryError(f"ranges to {anchor_id!r} must be finite and >= 0")
+    counts = [len(r) for r in ranges]
+    covered = sum(n > 0 for n in counts)
+    if covered < dimension + 1:
         raise InsufficientRangesError(
-            f"need ranges to at least {dimension + 1} distinct anchors, "
-            f"got {len(covered)}"
+            f"need ranges to at least {dimension + 1} distinct anchors, got {covered}"
         )
 
-    pts = np.array([anchors.position_of(m.anchor_id).to_array(dimension) for m in ranges])
-    dists = np.array([m.distance for m in ranges])
+    pts = np.repeat(anchors._points, counts, axis=0)
+    dists = np.concatenate(ranges)
 
     if init is not None:
         starts = [init.to_array(dimension)]
@@ -273,10 +260,10 @@ def multilaterate(
 
     p, ssr, jac, iterations, converged = best
     warnings = ()
-    if len(covered) < 4:
+    if covered < 4:
         warnings = (WARN_FEW_ANCHORS,)
 
-    n = len(ranges)
+    n = len(dists)
     er = error_radius(jac, ssr) if (n > dimension and converged) else 0.0
     return EstimateResult(
         position=Position.from_array(p),
@@ -286,5 +273,3 @@ def multilaterate(
         converged=converged,
         warnings=warnings,
     )
-
-

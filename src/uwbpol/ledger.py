@@ -322,6 +322,15 @@ def _verify(public_key: bytes, signature: bytes, data: bytes, what: str) -> None
         raise UnauthorizedError(f"{what} invalid") from None
 
 
+def _check_log_field(what: str, text: str) -> None:
+    """Refuse text that would not survive as one field of one audit-log record.
+
+    Replay splits the log with str.splitlines and each record on tabs.
+    """
+    if "\t" in text or len(f".{text}.".splitlines()) != 1:
+        raise InvalidTransactionError(f"{what} {text!r} contains a tab or line break")
+
+
 class LedgerState:
     """Registry, channels and journal, changed only through commit().
 
@@ -355,6 +364,8 @@ class LedgerState:
         bootstraps the self-signed authority. Any failure raises a
         LedgerError and leaves the state untouched.
         """
+        _check_log_field("submitter", tx.submitter)
+        _check_log_field("tx type", tx.tx_type)
         ch = self.channel(tx.channel)
         height = len(ch.log) + 1
         try:
@@ -372,6 +383,7 @@ class LedgerState:
                 enrollee = Certificate.decode(tx.payload)
             except ValueError as exc:
                 raise InvalidTransactionError(f"bad certificate: {exc}") from None
+            _check_log_field("enrolled subject", enrollee.subject)
             if enrollee.subject in self.registry:
                 raise AlreadyEnrolledError(f"{enrollee.subject!r} is already enrolled")
             if self.authority_public is None:
@@ -586,7 +598,7 @@ def replay_audit_log(path, chaincode_factory: Callable[[], list]) -> ReplayResul
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return ReplayResult(False, 0, f"cannot read audit log: {exc}")
 
     if raw and not raw.endswith("\n"):

@@ -18,16 +18,17 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     ChaincodeError,
     AssetConflictError,
     AssetNotFoundError,
-    InsufficientRangesError,
     ProtocolViolationError,
     UnauthorizedError,
     ValidationUnavailableError,
 )
-from .geo import AnchorSet, EstimateResult, Position, RangeMeasurement, distance, multilaterate
+from .geo import AnchorSet, EstimateResult, Position, distance, multilaterate
 from .ledger import (
     Asset,
     AssetChaincode,
@@ -39,7 +40,7 @@ from .ledger import (
     lps,
     read_lps,
 )
-from .uwb import ChannelModel, FrameType, RadioNode, RangingFrame, measure_target
+from .uwb import ChannelModel, FrameType, RadioNode, RangingFrame, ranging_sweep, transmit
 
 TX_POL_REQUEST = "POL_REQUEST"
 TX_POL_VERDICT = "POL_VERDICT"
@@ -287,10 +288,10 @@ class UwbFrameIn:
     frame: RangingFrame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare or hash by
 class RangingResultIn:
     ok: bool
-    measurements: tuple[RangeMeasurement, ...] = ()
+    ranges: tuple[np.ndarray, ...] = ()  # per anchor, in AnchorSet order
 
 
 @dataclass(frozen=True)
@@ -490,7 +491,7 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
                 return (replace(session, retries=session.retries + 1),
                         [StartRanging(), SetTimer(cfg.poll_timeout_ns)])
             return _abort(session, "timeout"), []
-        estimate = multilaterate(ctx.anchor_set, event.measurements)
+        estimate = multilaterate(ctx.anchor_set, event.ranges)
         if not estimate.converged:
             return _abort(replace(session, estimate=estimate), "validation-unavailable"), []
         verdict = validate_location(session.claim, estimate, ctx.buffer, cfg.sigma_model)
@@ -573,8 +574,13 @@ def run_session(
 ) -> SessionOutcome:
     """Drive one handshake to a terminal state on both sides.
 
-    poll_tamper, when given, rewrites every platform poll frame before it
-    goes on the air (used to model replay attacks on the radio path).
+    Every handshake frame goes over the air through uwb.transmit between
+    the UAV's node and the platform's first anchor, so a UAV out of radio
+    range never answers a poll. StartRanging runs one uwb.ranging_sweep of
+    config.ranging_rounds rounds, and its per-anchor distance arrays go to
+    the platform as they are. poll_tamper, when given, rewrites every
+    platform poll frame before it goes on the air (used to model replay
+    attacks on the radio path).
     """
     session_id = new_session_id(session_rng)
     code_uav, code_platform = generate_codes(session_rng)
@@ -602,6 +608,7 @@ def run_session(
         "uav": lg.subscribe(DEFAULT_CHANNEL),
         "platform": lg.subscribe(DEFAULT_CHANNEL),
     }
+    radios = {"uav": uav_party.node, "platform": platform_party.anchor_nodes[0]}
     pending: deque = deque()
     trace: list = []
 
@@ -641,23 +648,21 @@ def run_session(
             if poll_tamper is not None and frame.frame_type is FrameType.POLL:
                 frame = poll_tamper(frame)
             lg.clock.advance(1_000)  # air time
-            if not channel.message_lost():
-                other = parties["platform" if rt.key == "uav" else "uav"]
-                pending.append((other.key, UwbFrameIn(frame)))
+            other = "platform" if rt.key == "uav" else "uav"
+            received, _ = transmit(channel, frame, radios[rt.key], radios[other])
+            if received is not None:
+                pending.append((other, UwbFrameIn(received)))
         elif isinstance(action, StartRanging):
-            measurements: list[RangeMeasurement] = []
-            for _ in range(config.ranging_rounds):
-                measurements.extend(measure_target(
-                    list(platform_party.anchor_nodes), uav_party.node, channel,
-                    rt.session.session_id,
-                    code_to_send=rt.session.code_platform,
-                    code_expected=rt.session.code_uav,
-                ))
-            covered = {m.anchor_id for m in measurements}
-            if len(covered) > platform_party.anchor_set.dimension:
-                result = RangingResultIn(True, tuple(measurements))
+            ranges = ranging_sweep(
+                platform_party.anchor_nodes, uav_party.node, channel,
+                rt.session.session_id,
+                code_to_send=rt.session.code_platform,
+                code_expected=rt.session.code_uav,
+                rounds=config.ranging_rounds,
+            )
+            if sum(len(r) > 0 for r in ranges) > platform_party.anchor_set.dimension:
                 pending.append(("uav", RangingResultIn(True)))
-                pending.append(("platform", result))
+                pending.append(("platform", RangingResultIn(True, tuple(ranges))))
             else:
                 pending.append(("platform", RangingResultIn(False)))
 

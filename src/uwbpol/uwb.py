@@ -3,8 +3,15 @@
 Frames carry a 16-byte session id and a 16-byte authentication code; the
 responder stays silent unless the code embedded in the poll matches what it
 was told to expect, so ranging and identity check ride the same exchange.
-The channel adds Gaussian range noise, a constant bias, and independent
-per-message loss.
+
+Every frame goes over the air through `transmit`, the one radio rule: a
+receiver beyond the channel's max_range hears nothing, each send is lost
+independently, and what arrives is what the receiver decodes from the
+frame's wire bytes. The handshake sends its frames one at a time;
+`ranging_sweep` sends each anchor's poll and the target's response once for
+all rounds, draws the per-round losses and the Gaussian range noise (plus a
+constant bias) in batches, and hands back one distance array per anchor.
+`ranging_exchange` is the scalar reference of a single sweep exchange.
 """
 
 from __future__ import annotations
@@ -12,19 +19,16 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .clock import SimClock
-from .errors import (
-    FrameEncodingError,
-    InsufficientRangesError,
-    MalformedFrameError,
-    RangingTimeout,
-)
-from .geo import SPEED_OF_LIGHT, Position, RangeMeasurement, distance, twr_distance
+from .errors import FrameEncodingError, MalformedFrameError, RangingTimeout
+from .geo import SPEED_OF_LIGHT, Position, distance, twr_distance
 
 FRAME_SIZE = 58
 _FRAME_STRUCT = struct.Struct(">B16s8s8s16sQB")  # type, session, src, dst, code, ts, rsvd
@@ -35,9 +39,7 @@ DEFAULT_LOSS_PROB = 0.01
 DEFAULT_MAX_RANGE = 60.0  # m
 DEFAULT_REPLY_DELAY_NS = 300_000  # 300 us
 EXCHANGE_TIMEOUT_NS = 1_000_000  # how long an initiator waits before giving up
-
-# RangeMeasurement.sigma must stay positive even on a noise-free channel.
-_SIGMA_FLOOR = 1e-9
+EXCHANGE_TAIL_NS = 1_000  # after the response arrives, before the next exchange
 
 
 class FrameType(IntEnum):
@@ -144,8 +146,9 @@ def check_channel(noise_sigma: float, bias: float, loss_prob: float,
 class ChannelModel:
     """Stochastic radio channel owned by one scenario.
 
-    Same seed, same call sequence -> identical noise/loss draws. Not meant to
-    be shared across concurrently running exchanges.
+    All loss and noise comes from one seeded random.Random: same seed, same
+    call sequence -> identical draws. Not meant to be shared across
+    concurrently running exchanges.
     """
 
     def __init__(
@@ -164,63 +167,58 @@ class ChannelModel:
         self.max_range = max_range
         self.rng = random.Random(seed)
         self.clock = clock if clock is not None else SimClock()
-        self._forced_losses: list[bool] = []
 
-    def force_next_losses(self, flags: Sequence[bool]) -> None:
-        """Queue deterministic loss outcomes for the next messages (tests, attacks)."""
-        self._forced_losses.extend(flags)
-
-    def message_lost(self) -> bool:
-        if self._forced_losses:
-            return self._forced_losses.pop(0)
+    def deliveries(self, sends: int) -> np.ndarray:
+        """Which of `sends` independent sends survive the channel's loss."""
         if self.loss_prob == 0.0:
-            return False
-        return self.rng.random() < self.loss_prob
+            return np.ones(sends, dtype=bool)
+        draw = self.rng.random
+        return np.array([draw() >= self.loss_prob for _ in range(sends)], dtype=bool)
 
-    def range_noise(self) -> float:
-        if self.noise_sigma == 0.0:
-            return 0.0
-        return self.rng.gauss(0.0, self.noise_sigma)
+    def round_trips(self, true_dists: np.ndarray, reply_delay: int) -> np.ndarray:
+        """Initiator-timed round trips (ns) of exchanges over these distances.
 
-    @property
-    def measurement_sigma(self) -> float:
-        return max(self.noise_sigma, _SIGMA_FLOOR)
+        Timing jitter is equivalent to the channel's range noise plus bias;
+        the initiator times the round trip on its own clock, so only the
+        responder's reply delay enters, never a clock offset.
+        """
+        n, sigma = len(true_dists), self.noise_sigma
+        noise = [self.rng.gauss(0.0, sigma) for _ in range(n)] if sigma else [0.0] * n
+        err = self.bias + np.array(noise, dtype=float)
+        t_reply = float(reply_delay)
+        return np.maximum(2.0 * (true_dists + err) / SPEED_OF_LIGHT * 1e9 + t_reply, t_reply)
 
 
 @dataclass
 class RadioNode:
-    """A UWB transceiver at a known position with its own local clock."""
+    """A UWB transceiver at a known position."""
 
     node_id: str
     position: Position
-    clock_offset: int = 0  # ns added to the shared sim clock to get local time
     reply_delay: int = DEFAULT_REPLY_DELAY_NS  # ns between poll rx and response tx
-    audit_log: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.reply_delay <= 0:
             raise ValueError("reply_delay must be > 0")
         _check_id("node_id", self.node_id)
 
-    def local_time(self, sim_now_ns: float) -> float:
-        return sim_now_ns + self.clock_offset
 
-    def stamp(self, sim_now_ns: float) -> int:
-        """Local clock value for a frame field; wraps like a real counter."""
-        return int(self.local_time(sim_now_ns)) % 2**64
+def transmit(channel: ChannelModel, frame: RangingFrame, src: RadioNode, dst: RadioNode,
+             sends: int = 1) -> tuple[Optional[RangingFrame], np.ndarray]:
+    """Send frame from src to dst `sends` times; the one rule for the air.
 
-
-@lru_cache(maxsize=64)  # a session sends the same few frames every round
-def _on_air(frame_type: FrameType, session_id: bytes, src_id: str, dst_id: str,
-            code: bytes) -> RangingFrame:
-    """A ranging frame as its receiver decodes it.
-
-    The timestamp field is left out: the initiator times the round trip on
-    its own clock and nothing reads the field, so the round trip through
-    the codec depends only on these arguments and runs once per distinct
-    frame.
+    Range check, then loss, then the codec round trip: a receiver beyond
+    the channel's max_range hears no send, each send is otherwise lost
+    independently, and the receiver gets the frame decoded from its wire
+    bytes. Returns that frame (None when no send arrives) and the per-send
+    delivery mask.
     """
-    return decode_frame(encode_frame(RangingFrame(frame_type, session_id, src_id, dst_id, code)))
+    if distance(src.position, dst.position) > channel.max_range:
+        return None, np.zeros(sends, dtype=bool)
+    delivered = channel.deliveries(sends)
+    if not delivered.any():
+        return None, delivered
+    return decode_frame(encode_frame(frame)), delivered
 
 
 def ranging_exchange(
@@ -232,99 +230,87 @@ def ranging_exchange(
     code_to_send: bytes,
     responder_expects: Optional[bytes] = None,
     responder_replies: Optional[bytes] = None,
-) -> tuple[RangeMeasurement, bytes]:
-    """Run one poll/response exchange and derive a range from its timing.
+) -> tuple[float, bytes]:
+    """Run one poll/response exchange; return (distance, code in the response).
 
-    code_to_send rides in the poll and code_expected is what the initiator
-    requires in the response. The responder's own expectation and reply code
-    default to the honest mirror of those; pass them explicitly to model a
-    party holding different session state. Loss, out-of-range, and a code
-    mismatch at the responder all surface as RangingTimeout; the mismatch
-    additionally leaves an audit entry on the responder.
+    The scalar reference of one `ranging_sweep` exchange. code_to_send
+    rides in the poll and code_expected is what the initiator requires in
+    the response. The responder's own expectation and reply code default to
+    the honest mirror of those; pass them explicitly to model a party
+    holding different session state. Loss, out-of-range, and a code
+    mismatch at the responder all surface as RangingTimeout.
     """
     responder_expects = code_to_send if responder_expects is None else responder_expects
     responder_replies = code_expected if responder_replies is None else responder_replies
 
-    true_dist = distance(initiator.position, responder.position)
-    if true_dist > channel.max_range:
+    poll, _ = transmit(channel, RangingFrame(FrameType.POLL, session_id, initiator.node_id,
+                                             responder.node_id, code_to_send),
+                       initiator, responder)
+    if poll is None or poll.code != responder_expects:
         channel.clock.advance(EXCHANGE_TIMEOUT_NS)
-        raise RangingTimeout(
-            f"{responder.node_id} out of range ({true_dist:.1f} m > {channel.max_range} m)"
-        )
-
-    poll_rx = _on_air(FrameType.POLL, session_id, initiator.node_id, responder.node_id,
-                      code_to_send)
-    if channel.message_lost():
-        channel.clock.advance(EXCHANGE_TIMEOUT_NS)
-        raise RangingTimeout("poll lost")
-
-    if poll_rx.code != responder_expects:
-        responder.audit_log.append(
-            ("code-mismatch", poll_rx.src_id, poll_rx.session_id.hex())
-        )
-        channel.clock.advance(EXCHANGE_TIMEOUT_NS)
-        raise RangingTimeout("no response (responder stayed silent)")
-
-    tof_ns = true_dist / SPEED_OF_LIGHT * 1e9
-    response_rx = _on_air(FrameType.RESPONSE, session_id, responder.node_id,
-                          initiator.node_id, responder_replies)
-    if channel.message_lost():
+        raise RangingTimeout("no response (poll lost, out of range, or code refused)")
+    response, _ = transmit(channel, RangingFrame(FrameType.RESPONSE, session_id,
+                                                 responder.node_id, initiator.node_id,
+                                                 responder_replies),
+                           responder, initiator)
+    if response is None:
         channel.clock.advance(EXCHANGE_TIMEOUT_NS)
         raise RangingTimeout("response lost")
 
-    # Timing jitter equivalent to the channel's range noise; the initiator
-    # measures the round trip on its own clock, so clock offsets cancel.
-    err = channel.bias + channel.range_noise()
-    t_reply = float(responder.reply_delay)
-    t_round = max(2.0 * tof_ns + t_reply + 2.0 * err / SPEED_OF_LIGHT * 1e9, t_reply)
-    measured = twr_distance(t_round, t_reply)
-
-    done_ns = channel.clock.advance(t_round + 1_000)
-    measurement = RangeMeasurement(
-        anchor_id=initiator.node_id,
-        distance=measured,
-        sigma=channel.measurement_sigma,
-        timestamp=done_ns,
-    )
-    return measurement, response_rx.code
+    true_dist = distance(initiator.position, responder.position)
+    t_round = float(channel.round_trips(np.array([true_dist]), responder.reply_delay)[0])
+    channel.clock.advance(t_round + EXCHANGE_TAIL_NS)
+    return twr_distance(t_round, float(responder.reply_delay)), response.code
 
 
-def measure_target(
+def ranging_sweep(
     anchor_array: Sequence[RadioNode],
     target: RadioNode,
     channel: ChannelModel,
     session_id: bytes,
     code_to_send: bytes,
     code_expected: bytes,
+    rounds: int,
     responder_expects: Optional[bytes] = None,
     responder_replies: Optional[bytes] = None,
-    min_ranges: int = 0,
-) -> list[RangeMeasurement]:
-    """One ranging sweep: each anchor polls the target once, in array order.
+) -> list[np.ndarray]:
+    """`rounds` exchanges between each anchor and the target, in bulk.
 
-    Exchanges that time out are simply omitted, as are responses whose
-    embedded code is not the expected one. When min_ranges is given and
-    fewer exchanges succeed, raises InsufficientRangesError.
+    Each anchor's poll and the target's response go through `transmit`
+    once for all rounds, so the codes are checked once per anchor on the
+    decoded frames: the target stays silent to a poll with the wrong code,
+    and a response with the wrong code yields no distance. Losses are drawn
+    per round, and the range noise of every completed exchange in one batch.
+    The clock advances by the sum of the times the same exchanges take in
+    `ranging_exchange`. Returns, per anchor in array order, the distances
+    it measured (an empty array when none).
     """
     if not anchor_array:
         raise ValueError("anchor_array must not be empty")
-    measurements = []
+    responder_expects = code_to_send if responder_expects is None else responder_expects
+    responder_replies = code_expected if responder_replies is None else responder_replies
+
+    completed = []  # exchanges per anchor that got a response back
+    answered_right = []  # whether that response carried the expected code
     for anchor in anchor_array:
-        try:
-            m, code_back = ranging_exchange(
-                anchor, target, channel, session_id,
-                code_expected, code_to_send,
-                responder_expects, responder_replies,
-            )
-        except RangingTimeout:
-            continue
-        if code_back != code_expected:
-            anchor.audit_log.append(("response-code-mismatch", target.node_id))
-            continue
-        measurements.append(m)
-    if len(measurements) < min_ranges:
-        raise InsufficientRangesError(
-            f"only {len(measurements)} of {len(anchor_array)} exchanges succeeded, "
-            f"need {min_ranges}"
-        )
-    return measurements
+        poll, polled = transmit(channel, RangingFrame(FrameType.POLL, session_id, anchor.node_id,
+                                                      target.node_id, code_to_send),
+                                anchor, target, rounds)
+        done, right = 0, False
+        if poll is not None and poll.code == responder_expects:
+            response, answered = transmit(channel, RangingFrame(
+                FrameType.RESPONSE, session_id, target.node_id, anchor.node_id,
+                responder_replies), target, anchor, rounds)
+            done = int(np.count_nonzero(polled & answered))
+            right = response is not None and response.code == code_expected
+        completed.append(done)
+        answered_right.append(right)
+
+    true_dists = np.array([distance(a.position, target.position) for a in anchor_array])
+    t_round = channel.round_trips(np.repeat(true_dists, completed), target.reply_delay)
+    timeouts = len(anchor_array) * rounds - len(t_round)
+    channel.clock.advance(int(np.rint(t_round + EXCHANGE_TAIL_NS).sum())
+                          + timeouts * EXCHANGE_TIMEOUT_NS)
+    per_anchor = np.split(twr_distance(t_round, float(target.reply_delay)),
+                          np.cumsum(completed)[:-1])
+    return [d if right else d[:0] for d, right in zip(per_anchor, answered_right)]

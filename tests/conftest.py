@@ -2,6 +2,7 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uwbpol
@@ -28,16 +29,19 @@ def fig5_anchors() -> AnchorSet:
 
 
 def noisy_ranges(anchors: AnchorSet, target: Position, sigma: float,
-                 rng: random.Random, rounds: int = 1):
-    """Synthesize range measurements straight from geometry (no radio layer)."""
-    from uwbpol.geo import RangeMeasurement, distance
+                 rng: random.Random, rounds: int = 1) -> list[np.ndarray]:
+    """Synthesize per-anchor range arrays straight from geometry (no radio layer).
 
-    out = []
+    Draws go round by round, anchor by anchor, as a ranging sweep orders them.
+    """
+    from uwbpol.geo import distance
+
+    out = [[] for _ in anchors.anchors]
     for _ in range(rounds):
-        for a_id, pos in anchors.anchors:
+        for acc, (_, pos) in zip(out, anchors.anchors):
             d = distance(pos, target) + (rng.gauss(0.0, sigma) if sigma > 0 else 0.0)
-            out.append(RangeMeasurement(a_id, max(d, 0.0), sigma if sigma > 0 else 1e-9))
-    return out
+            acc.append(max(d, 0.0))
+    return [np.array(acc) for acc in out]
 
 
 def cli_env() -> dict:

@@ -20,8 +20,10 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from uwbpol.errors import ProtocolViolationError
-from uwbpol.geo import Position, RangeMeasurement, distance
+from uwbpol.geo import Position, distance
 from uwbpol.ledger import ChannelEvent
 from uwbpol.pol import (
     LedgerEventIn,
@@ -61,10 +63,7 @@ ANCHORS = make_anchor_set(FIG4_ANCHOR_COORDS)
 UAV_CTX = UavContext(PolConfig(), "uav")
 PLATFORM_CTX = PlatformContext(PolConfig(), ANCHORS, "a0", "uav", buffer=1.0)
 
-HONEST_MEASUREMENTS = tuple(
-    RangeMeasurement(a_id, distance(pos, TRUTH), 1e-9)
-    for a_id, pos in ANCHORS.anchors
-)
+HONEST_MEASUREMENTS = tuple(np.array([distance(pos, TRUTH)]) for _, pos in ANCHORS.anchors)
 
 
 @dataclass(frozen=True)

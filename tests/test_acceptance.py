@@ -19,7 +19,7 @@ import numpy as np
 from uwbpol import geo, sim, uwb
 from uwbpol.cli import main as cli_main
 from uwbpol.errors import GeometryError, UnauthorizedError, ChaincodeError
-from uwbpol.geo import AnchorSet, Position, RangeMeasurement
+from uwbpol.geo import AnchorSet, Position
 from uwbpol.ledger import (
     ASSET_CREATE,
     ASSET_DELETE,
@@ -34,6 +34,7 @@ from uwbpol.pol import standard_chaincodes
 from uwbpol.sim import ATTACK_CODE_REPLAY, ATTACK_GNSS_SPOOF, ATTACK_WRONG_IDENTITY, AttackSpec
 
 import safety_model
+from conftest import cli_env
 from _oracles import grid_argmin
 
 N_SEEDS = 100
@@ -127,24 +128,20 @@ def test_criterion_4_solver_oracle():
         target = Position(rng.uniform(0, 20), rng.uniform(0, 20))
         sigma = rng.uniform(0.0, 0.1)
 
-        exact = [RangeMeasurement(a_id, geo.distance(pos, target), 1e-9)
-                 for a_id, pos in anchors.anchors]
+        exact = [np.array([geo.distance(pos, target)]) for _, pos in anchors.anchors]
         est0 = geo.multilaterate(anchors, exact)
         assert est0.converged
         worst_recovery = max(worst_recovery, geo.distance(est0.position, target))
 
         noisy = [
-            RangeMeasurement(
-                a_id,
-                max(geo.distance(pos, target) + (rng.gauss(0, sigma) if sigma else 0.0), 0.0),
-                max(sigma, 1e-9),
-            )
-            for a_id, pos in anchors.anchors
+            np.array([max(geo.distance(pos, target) + (rng.gauss(0, sigma) if sigma else 0.0),
+                          0.0)])
+            for _, pos in anchors.anchors
         ]
         est = geo.multilaterate(anchors, noisy)
         assert est.converged
         pts = np.array([[p.x, p.y] for _, p in anchors.anchors])
-        dists = np.array([m.distance for m in noisy])
+        dists = np.concatenate(noisy)
         (gx, gy), _ = grid_argmin(pts, dists, (0, 20), (0, 20), step=0.01)
         worst_gap = max(worst_gap,
                         math.hypot(est.position.x - gx, est.position.y - gy))
@@ -162,8 +159,8 @@ def test_criterion_5_ranging_statistics():
     channel = uwb.ChannelModel(noise_sigma=0.05, loss_prob=0.0, seed=42)
     vals = []
     for _ in range(10_000):
-        m, _ = uwb.ranging_exchange(a, b, channel, bytes(16), b"B" * 16, b"A" * 16)
-        vals.append(m.distance)
+        d, _ = uwb.ranging_exchange(a, b, channel, bytes(16), b"B" * 16, b"A" * 16)
+        vals.append(d)
     mean = statistics.fmean(vals)
     std = statistics.stdev(vals)
     # 3 standard errors around 5 m: sigma/sqrt(n) = 0.0005.
@@ -299,7 +296,7 @@ def test_criterion_8_process_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "uwbpol", "run", "--preset", "fig5",
              "--seed", "23", "--out", str(out), "--audit", str(audit)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         artefacts.append((out.read_bytes(), audit.read_bytes()))

@@ -168,6 +168,14 @@ class TestReplayCommand:
         assert code == EXIT_VERIFICATION_FAILED
         assert "unexpected end" in captured.err
 
+    def test_not_utf8_log(self, tmp_path, capsys):
+        audit = tmp_path / "audit.log"
+        audit.write_bytes(b"\xff\xfe\x00")
+        code = run_main(["replay", "--audit", str(audit)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFICATION_FAILED
+        assert "cannot read audit log" in captured.err
+
     def test_missing_audit_file(self, tmp_path, capsys):
         assert run_main(["replay", "--audit", str(tmp_path / "none.log")]) == EXIT_IO
 

@@ -16,7 +16,7 @@ from uwbpol.errors import (
     InsufficientRangesError,
     InvalidTimingError,
 )
-from uwbpol.geo import AnchorSet, Position, RangeMeasurement
+from uwbpol.geo import AnchorSet, Position
 
 from _oracles import grid_argmin, ssr
 from conftest import FIG4_ANCHOR_COORDS, FIG5_ANCHOR_COORDS, make_anchor_set, noisy_ranges
@@ -108,7 +108,7 @@ class TestMultilaterate:
     def test_centroid_by_symmetry(self):
         square = make_anchor_set([("a", 0, 0), ("b", 0, 2), ("c", 2, 2), ("d", 2, 0)])
         r = math.sqrt(2.0)  # each corner to the center
-        ranges = [RangeMeasurement(a_id, r, 0.01) for a_id in square.ids]
+        ranges = [np.array([r]) for _ in square.ids]
         est = geo.multilaterate(square, ranges)
         assert est.converged
         assert geo.distance(est.position, Position(1, 1)) < 1e-9
@@ -122,7 +122,7 @@ class TestMultilaterate:
         assert est.converged
 
         pts = np.array([[p.x, p.y] for _, p in fig5_anchors.anchors])
-        dists = np.array([m.distance for m in ranges])
+        dists = np.concatenate(ranges)
         (gx, gy), grid_ssr = grid_argmin(pts, dists, (0, 8), (0, 16), step=0.01)
         gap = math.hypot(est.position.x - gx, est.position.y - gy)
         assert gap <= 0.02
@@ -138,17 +138,35 @@ class TestMultilaterate:
             ranges = noisy_ranges(fig5_anchors, target, 0.05, random.Random(seed))
             est = geo.multilaterate(fig5_anchors, ranges)
             assert est.converged
-            dists = np.array([m.distance for m in ranges])
+            dists = np.concatenate(ranges)
             _, grid_ssr = grid_argmin(pts, dists, (0, 8), (0, 16), step=0.01)
             assert ssr([est.position.x, est.position.y], pts, dists) <= grid_ssr
 
     def test_unknown_anchor_rejected(self, fig4_anchors):
+        # A fifth range array belongs to no anchor of the set.
         with pytest.raises(GeometryError):
-            geo.multilaterate(fig4_anchors, [RangeMeasurement("zz", 1.0, 0.05)] * 3)
+            geo.multilaterate(fig4_anchors, [np.array([1.0])] * 5)
+
+    def test_wrong_length_rejected(self, fig4_anchors):
+        with pytest.raises(GeometryError):
+            geo.multilaterate(fig4_anchors, [np.array([1.0])] * 3)
+        with pytest.raises(GeometryError):
+            geo.multilaterate(fig4_anchors, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_non_finite_or_negative_rejected(self, fig4_anchors, bad):
+        target = Position(3.95, 2.705)
+        ranges = noisy_ranges(fig4_anchors, target, 0.0, random.Random(0), rounds=3)
+        ranges[2][1] = bad
+        with pytest.raises(GeometryError):
+            geo.multilaterate(fig4_anchors, ranges)
+
+    def test_two_dimensional_array_rejected(self, fig4_anchors):
+        with pytest.raises(GeometryError):
+            geo.multilaterate(fig4_anchors, [np.ones((2, 2))] * 4)
 
     def test_needs_dimension_plus_one_distinct_anchors(self, fig4_anchors):
-        ranges = [RangeMeasurement("a0", 1.0, 0.05), RangeMeasurement("a1", 1.0, 0.05),
-                  RangeMeasurement("a0", 1.0, 0.05)]
+        ranges = [np.array([1.0, 1.0]), np.array([1.0]), np.array([]), np.array([])]
         with pytest.raises(InsufficientRangesError):
             geo.multilaterate(fig4_anchors, ranges)
 
@@ -189,8 +207,7 @@ class TestMultilaterate:
             dimension=3,
         )
         target = Position(2.0, 3.0, 1.5)
-        ranges = [RangeMeasurement(a_id, geo.distance(pos, target), 1e-9)
-                  for a_id, pos in anchors.anchors]
+        ranges = [np.array([geo.distance(pos, target)]) for _, pos in anchors.anchors]
         est = geo.multilaterate(anchors, ranges)
         assert est.converged
         assert geo.distance(est.position, target) < 1e-6
@@ -259,10 +276,8 @@ class TestErrorRadius:
         for seed in range(1000):
             rng = random.Random(seed)
             noise = {a_id: rng.gauss(0, 0.05) for a_id, _ in fig4_anchors.anchors}
-            r1 = [RangeMeasurement(a, true_d[a] + noise[a], 0.05)
-                  for a, _ in fig4_anchors.anchors]
-            r2 = [RangeMeasurement(a, true_d[a] + 2 * noise[a], 0.1)
-                  for a, _ in fig4_anchors.anchors]
+            r1 = [np.array([true_d[a] + noise[a]]) for a in fig4_anchors.ids]
+            r2 = [np.array([true_d[a] + 2 * noise[a]]) for a in fig4_anchors.ids]
             e1 = geo.multilaterate(fig4_anchors, r1)
             e2 = geo.multilaterate(fig4_anchors, r2)
             if e1.converged and e2.converged and e1.error_radius > 0:
@@ -300,6 +315,6 @@ class TestOracleEquivalence:
             est = geo.multilaterate(anchors, ranges)
             assert est.converged
             apts = np.array([[p.x, p.y] for _, p in anchors.anchors])
-            dists = np.array([m.distance for m in ranges])
+            dists = np.concatenate(ranges)
             _, grid_ssr = grid_argmin(apts, dists, (0, 10), (0, 10), step=0.01)
             assert ssr([est.position.x, est.position.y], apts, dists) <= grid_ssr

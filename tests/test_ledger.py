@@ -302,6 +302,13 @@ class TestAuditReplay:
         with pytest.raises(TypeError):
             replay_audit_log(path)
 
+    def test_not_utf8_fails_replay(self, tmp_path):
+        path = tmp_path / "audit.log"
+        path.write_bytes(b"\xff\xfe\x00")
+        result = replay_audit_log(path, chaincode_factory=asset_only)
+        assert not result.ok and result.records == 0
+        assert "cannot read audit log" in result.message
+
     def test_height_gap_detected(self, lg, alice, pad, tmp_path):
         self._populate(lg, alice, pad)
         path = tmp_path / "audit.log"
@@ -552,3 +559,24 @@ class TestLiveReplayAgreement:
         assert result.ok, result.message
         assert result.assets == {ch: lg.assets_snapshot(ch) for ch in led.CHANNEL_ROLES}
         assert len(refused) >= 20 and lg.height("pol") >= 20
+
+    @pytest.mark.parametrize("text", ["bad\tname", "x\nY", "cr\rx", "line\u2028sep",
+                                      "ff\x0cx", "end\n"])
+    def test_log_separators_refused_live(self, lg, alice, text, tmp_path):
+        # Replay splits the log into records and fields; a name or tx type
+        # that contains a separator would commit live and fail replay.
+        heights, now = _heights(lg), lg.clock.now_ns
+        body = encode_asset_payload("x", b"d")
+        with pytest.raises(InvalidTransactionError):
+            lg.enroll_identity(text, Role.UAV)
+        with pytest.raises(InvalidTransactionError):
+            lg.submit_transaction(alice, "pol", text, body)
+        with pytest.raises(InvalidTransactionError):
+            lg.submit_transaction(replace(alice, name=text), "pol", ASSET_CREATE, body)
+        assert _heights(lg) == heights and lg.clock.now_ns == now
+        assert text not in lg._state.registry
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, body)
+        path = tmp_path / "audit.log"
+        lg.write_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=asset_only)
+        assert result.ok, result.message

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from uwbpol import geo, pol
@@ -272,12 +273,9 @@ class TestPlatformMachine:
     def test_ranging_result_submits_consistent_verdict(self):
         anchors = PLATFORM_CTX.anchor_set
         target = Position(3.95, 2.705)
-        ms = tuple(
-            geo.RangeMeasurement(a_id, geo.distance(p, target), 1e-9)
-            for a_id, p in anchors.anchors
-        )
+        ranges = tuple(np.array([geo.distance(p, target)]) for _, p in anchors.anchors)
         s, actions = platform_step(platform_session(SessionState.RANGING),
-                                   RangingResultIn(True, ms), PLATFORM_CTX)
+                                   RangingResultIn(True, ranges), PLATFORM_CTX)
         assert s.state is SessionState.VALIDATING
         assert s.estimate is not None and s.estimate.converged
         submit = next(a for a in actions if isinstance(a, SubmitTx))
@@ -371,6 +369,11 @@ def session_world(seed=5, noise=0.05, loss=0.01, truth=Position(3.95, 2.705)):
     return lg, channel, uav_party, platform_party, clock
 
 
+def ranging_started(outcome) -> bool:
+    return any("StartRanging" in actions
+               for _, key, _, _, _, actions in outcome.trace if key == "platform")
+
+
 class TestRunSession:
     def test_honest_run_authorized(self):
         lg, channel, uav_party, platform_party, clock = session_world()
@@ -400,6 +403,22 @@ class TestRunSession:
         assert second.uav.state is SessionState.ABORTED
         assert second.uav.abort_reason == "code-mismatch"
         assert second.platform.estimate is None
+        assert not ranging_started(second)
+
+    def test_out_of_range_uav_never_ranges(self):
+        # 80 m from the anchors at max_range 60: no handshake poll reaches it.
+        truth = Position(2.675 + 80.0, 0.875)
+        lg, channel, uav_party, platform_party, clock = session_world(truth=truth)
+        assert channel.max_range == 60.0
+        claim = LocationClaim(truth, clock.now_ns)
+        out = run_session(uav_party, platform_party, lg, channel, claim,
+                          random.Random(1), buffer=1.0)
+        assert out.terminal_state is SessionState.ABORTED
+        assert out.platform.abort_reason == "timeout"
+        assert out.uav.abort_reason == "timeout"
+        assert not ranging_started(out)
+        assert {after for _, key, _, _, after, _ in out.trace if key == "platform"} == {
+            "REQUESTED", "POLLING", "ABORTED"}
 
     def test_unenrolled_uav_never_requests(self):
         lg, channel, _, platform_party, clock = session_world()

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbpol import uwb
+from uwbpol.clock import SimClock
 from uwbpol.errors import (
     FrameEncodingError,
     InsufficientRangesError,
     MalformedFrameError,
     RangingTimeout,
 )
-from uwbpol.geo import Position, distance
+from uwbpol.geo import Position, distance, multilaterate
 from uwbpol.uwb import ChannelModel, FrameType, RadioNode, RangingFrame
 
-from conftest import FIG4_ANCHOR_COORDS
+from conftest import FIG4_ANCHOR_COORDS, make_anchor_set
 
 SID = bytes(16)
 CODE_A = b"A" * 16
@@ -129,20 +130,19 @@ def make_pair(dist_m=10.0, **channel_kw):
 class TestRangingExchange:
     def test_noise_free_exact(self):
         a, b, ch = make_pair(10.0)
-        m, code_back = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
-        assert m.distance == pytest.approx(10.0, abs=1e-9)
-        assert m.anchor_id == "a0"
+        d, code_back = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
+        assert d == pytest.approx(10.0, abs=1e-9)
         assert code_back == CODE_B
 
-    def test_poll_code_mismatch_times_out_and_audits(self):
+    def test_poll_code_mismatch_times_out(self):
         a, b, ch = make_pair(10.0)
         with pytest.raises(RangingTimeout):
             uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A,
                                  responder_expects=b"Z" * 16)
-        assert b.audit_log and b.audit_log[-1][0] == "code-mismatch"
+        assert ch.clock.now_ns == uwb.EXCHANGE_TIMEOUT_NS
 
     def test_repeated_frames_keep_their_codes(self):
-        # The codec runs once per distinct frame; the code is part of the frame.
+        # The code is part of the frame the codec carries, send after send.
         a, b, ch = make_pair(10.0)
         assert uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)[1] == CODE_B
         _, code_back = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A,
@@ -156,8 +156,8 @@ class TestRangingExchange:
         a, b, ch = make_pair(5.0, noise_sigma=0.05, seed=42)
         vals = []
         for _ in range(10_000):
-            m, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
-            vals.append(m.distance)
+            d, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
+            vals.append(d)
         mean = statistics.fmean(vals)
         std = statistics.stdev(vals)
         assert 4.9985 <= mean <= 5.0015  # 3 standard errors
@@ -165,7 +165,7 @@ class TestRangingExchange:
 
     def test_bias_shows_up_in_mean(self):
         a, b, ch = make_pair(5.0, noise_sigma=0.02, bias=0.3, seed=9)
-        vals = [uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)[0].distance
+        vals = [uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)[0]
                 for _ in range(2000)]
         assert statistics.fmean(vals) == pytest.approx(5.3, abs=0.01)
 
@@ -180,8 +180,8 @@ class TestRangingExchange:
             out = []
             for _ in range(200):
                 try:
-                    m, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
-                    out.append(m.distance)
+                    d, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
+                    out.append(d)
                 except RangingTimeout:
                     out.append(None)
             return out
@@ -190,21 +190,23 @@ class TestRangingExchange:
         assert run(5) != run(6)
 
     def test_clock_offsets_cancel(self):
+        # The initiator times the round trip on its own clock, so where that
+        # clock stands does not enter the distance.
         results = []
-        for off_a, off_b in ((0, 0), (5_000_000, -3_000_000)):
-            a = RadioNode("a0", Position(0, 0), clock_offset=off_a)
-            b = RadioNode("uav", Position(8, 0), clock_offset=off_b)
-            ch = ChannelModel(noise_sigma=0.05, loss_prob=0.0, seed=77)
-            m, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
-            results.append(m.distance)
+        for start_ns in (0, 5_000_000):
+            a, b, _ = make_pair(8.0)
+            ch = ChannelModel(noise_sigma=0.05, loss_prob=0.0, seed=77,
+                              clock=SimClock(start_ns))
+            d, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
+            results.append(d)
         assert results[0] == results[1]
 
     def test_negative_noise_clamped_at_zero(self):
         a = RadioNode("a0", Position(0, 0))
         b = RadioNode("uav", Position(0.001, 0))
         ch = ChannelModel(noise_sigma=0.0, bias=-5.0, loss_prob=0.0, seed=1)
-        m, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
-        assert m.distance == 0.0
+        d, _ = uwb.ranging_exchange(a, b, ch, SID, CODE_B, CODE_A)
+        assert d == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.binary(min_size=16, max_size=16))
@@ -218,7 +220,33 @@ class TestRangingExchange:
                                  responder_expects=CODE_A)
 
 
+class TestTransmit:
+    def test_out_of_range_hears_nothing(self):
+        a, b, ch = make_pair(100.0, max_range=60.0, loss_prob=0.5)
+        state = ch.rng.getstate()
+        frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A)
+        received, delivered = uwb.transmit(ch, frame, a, b, sends=10)
+        assert received is None and not delivered.any()
+        assert ch.rng.getstate() == state  # no loss is drawn
+
+    def test_receiver_decodes_the_wire_bytes(self):
+        a, b, ch = make_pair(10.0)
+        frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A, 77)
+        received, delivered = uwb.transmit(ch, frame, a, b, sends=3)
+        assert received == frame and received is not frame
+        assert delivered.tolist() == [True] * 3
+
+    def test_loss_rate(self):
+        a, b, ch = make_pair(10.0, loss_prob=0.2, seed=4)
+        frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A)
+        _, delivered = uwb.transmit(ch, frame, a, b, sends=10_000)
+        # Binomial: 3 standard errors of 0.8 over 10^4 sends is 0.012.
+        assert abs(delivered.mean() - 0.8) <= 0.012
+
+
 class TestMeasureTarget:
+    """The ranging sweep measures the target from every anchor over many rounds."""
+
     def _array(self):
         anchors = [RadioNode(a_id, Position(x, y)) for a_id, x, y in FIG4_ANCHOR_COORDS]
         target = RadioNode("uav", Position(3.95, 2.705))
@@ -227,38 +255,97 @@ class TestMeasureTarget:
     def test_lossless_gives_all_anchors(self):
         anchors, target = self._array()
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
-        ms = uwb.measure_target(anchors, target, ch, SID, CODE_A, CODE_B)
-        assert [m.anchor_id for m in ms] == [a.node_id for a in anchors]
+        ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5)
+        assert [len(r) for r in ranges] == [5] * len(anchors)
 
     def test_forced_poll_loss_drops_one(self):
         anchors, target = self._array()
-        ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
-        # Second anchor's poll vanishes: messages go poll,resp / poll...
-        ch.force_next_losses([False, False, True])
-        ms = uwb.measure_target(anchors, target, ch, SID, CODE_A, CODE_B)
-        assert len(ms) == 3
-        assert [m.anchor_id for m in ms] == ["a0", "a2", "a3"]
+        # a0 sits 2.56 m from the target, beyond this range: its polls never arrive.
+        ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, max_range=2.5, seed=3)
+        ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5)
+        assert [len(r) for r in ranges] == [0, 5, 5, 5]
 
     def test_noise_free_matches_euclidean(self):
         anchors, target = self._array()
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
-        ms = uwb.measure_target(anchors, target, ch, SID, CODE_A, CODE_B)
-        for anchor, m in zip(anchors, ms):
-            assert m.distance == pytest.approx(
-                distance(anchor.position, target.position), abs=1e-9)
+        ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=3)
+        for anchor, r in zip(anchors, ranges):
+            assert r == pytest.approx([distance(anchor.position, target.position)] * 3,
+                                      abs=1e-9)
 
     def test_min_ranges_enforced(self):
         anchors, target = self._array()
-        ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
-        ch.force_next_losses([True, True, True, True])
+        ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, max_range=2.2, seed=3)
+        ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5)
+        assert [len(r) for r in ranges] == [0, 5, 5, 0]
         with pytest.raises(InsufficientRangesError):
-            uwb.measure_target(anchors, target, ch, SID, CODE_A, CODE_B, min_ranges=3)
+            multilaterate(make_anchor_set(FIG4_ANCHOR_COORDS), ranges)
 
     def test_empty_array_rejected(self):
         _, target = self._array()
         ch = ChannelModel(seed=1)
         with pytest.raises(ValueError):
-            uwb.measure_target([], target, ch, SID, CODE_A, CODE_B)
+            uwb.ranging_sweep([], target, ch, SID, CODE_A, CODE_B, rounds=5)
+
+    def test_code_mismatch_gives_no_distance(self):
+        anchors, target = self._array()
+        ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
+        silent = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5,
+                                   responder_expects=b"Z" * 16)
+        assert [len(r) for r in silent] == [0] * 4
+        # The target stayed silent: every exchange waited out its timeout.
+        assert ch.clock.now_ns == 4 * 5 * uwb.EXCHANGE_TIMEOUT_NS
+        wrong = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5,
+                                  responder_replies=b"Z" * 16)
+        assert [len(r) for r in wrong] == [0] * 4
+
+    def test_noise_free_sweep_equals_exchanges(self):
+        # Same arithmetic on a lossless, noise-free channel: equal distances
+        # and the same simulated time as the exchanges one by one.
+        anchors, target = self._array()
+        sweep_ch = ChannelModel(noise_sigma=0.0, bias=0.02, loss_prob=0.0, seed=3)
+        ranges = uwb.ranging_sweep(anchors, target, sweep_ch, SID, CODE_A, CODE_B, rounds=7)
+        scalar_ch = ChannelModel(noise_sigma=0.0, bias=0.02, loss_prob=0.0, seed=3)
+        scalar = [[] for _ in anchors]
+        for _ in range(7):
+            for acc, anchor in zip(scalar, anchors):
+                acc.append(uwb.ranging_exchange(anchor, target, scalar_ch, SID,
+                                                CODE_B, CODE_A)[0])
+        assert [r.tolist() for r in ranges] == scalar
+        assert sweep_ch.clock.now_ns == scalar_ch.clock.now_ns
+
+    def test_matches_scalar_exchanges_at_fig4(self):
+        # Fig. 4 geometry and channel: 10 sweeps of 200 rounds against the
+        # same 2000 scalar exchanges per anchor.
+        anchors, target = self._array()
+        rounds, sweeps = 200, 10
+        n = rounds * sweeps
+        channel = dict(noise_sigma=0.05, loss_prob=0.01)
+        sweep_ch = ChannelModel(**channel, seed=101)
+        swept = [[] for _ in anchors]
+        for _ in range(sweeps):
+            for acc, r in zip(swept, uwb.ranging_sweep(anchors, target, sweep_ch, SID,
+                                                       CODE_A, CODE_B, rounds=rounds)):
+                acc.extend(r.tolist())
+        scalar_ch = ChannelModel(**channel, seed=202)
+        scalar = [[] for _ in anchors]
+        for _ in range(n):
+            for acc, anchor in zip(scalar, anchors):
+                try:
+                    acc.append(uwb.ranging_exchange(anchor, target, scalar_ch, SID,
+                                                    CODE_B, CODE_A)[0])
+                except RangingTimeout:
+                    pass
+        for xs, ys in zip(swept, scalar):
+            mean_se = (statistics.variance(xs) / len(xs)
+                       + statistics.variance(ys) / len(ys)) ** 0.5
+            assert abs(statistics.fmean(xs) - statistics.fmean(ys)) <= 3 * mean_se
+            std_se = (statistics.variance(xs) / (2 * (len(xs) - 1))
+                      + statistics.variance(ys) / (2 * (len(ys) - 1))) ** 0.5
+            assert abs(statistics.stdev(xs) - statistics.stdev(ys)) <= 3 * std_se
+            lost_x, lost_y = 1 - len(xs) / n, 1 - len(ys) / n
+            pooled = (lost_x + lost_y) / 2
+            assert abs(lost_x - lost_y) <= 3 * (pooled * (1 - pooled) * 2 / n) ** 0.5
 
 
 class TestChannelModel:
@@ -273,7 +360,3 @@ class TestChannelModel:
     def test_reply_delay_positive(self):
         with pytest.raises(ValueError):
             RadioNode("x", Position(0, 0), reply_delay=0)
-
-    def test_sigma_floor_for_noise_free(self):
-        ch = ChannelModel(noise_sigma=0.0)
-        assert ch.measurement_sigma > 0
