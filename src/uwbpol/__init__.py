@@ -31,7 +31,6 @@ from .ledger import (
 from .pol import (
     LocationClaim,
     PolChaincode,
-    PolConfig,
     PolSession,
     SessionState,
     Verdict,

@@ -8,7 +8,7 @@ is a pure function over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,8 +25,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, vacuum; close enough for air at desk scal
 GN_MAX_ITERATIONS = 50
 GN_STEP_TOL = 1e-9  # meters; step norm below this counts as converged
 COND_LIMIT = 1e12  # condition number of J^T J beyond which geometry is degenerate
-
-WARN_FEW_ANCHORS = "anchor-count-below-recommended"
 
 
 @dataclass(frozen=True)
@@ -81,17 +79,10 @@ class AnchorSet:
             raise GeometryError(f"anchors must not be all {kind}")
         self.dimension = dimension
         self.anchors = tuple(anchors)
-        self._by_id = {a_id: p for a_id, p in anchors}
         self._points = pts
 
     def __len__(self) -> int:
         return len(self.anchors)
-
-    def __contains__(self, anchor_id: str) -> bool:
-        return anchor_id in self._by_id
-
-    def position_of(self, anchor_id: str) -> Position:
-        return self._by_id[anchor_id]
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -111,7 +102,6 @@ class EstimateResult:
     error_radius: float
     iterations: int
     converged: bool
-    warnings: tuple[str, ...] = field(default=())
 
 
 def distance(p: Position, q: Position) -> float:
@@ -176,32 +166,25 @@ def _linear_seed(pts: np.ndarray, dists: np.ndarray, dimension: int) -> Optional
     return sol
 
 
-def _gauss_newton(p: np.ndarray, pts: np.ndarray, dists: np.ndarray,
-                  max_iterations: int, step_tol: float):
+def _gauss_newton(p: np.ndarray, pts: np.ndarray, dists: np.ndarray):
     """Plain Gauss-Newton from one start; returns (p, ssr, jac, iters, converged)."""
     converged = False
     iterations = 0
     r, jac = _residuals_jacobian(p, pts, dists)
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, GN_MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
         if np.linalg.cond(jtj) > COND_LIMIT:
             raise GeometryError("degenerate geometry: singular normal equations")
         step = np.linalg.solve(jtj, -(jac.T @ r))
         p = p + step
         r, jac = _residuals_jacobian(p, pts, dists)
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < GN_STEP_TOL:
             converged = True
             break
     return p, float(r @ r), jac, iterations, converged
 
 
-def multilaterate(
-    anchors: AnchorSet,
-    ranges: Sequence[np.ndarray],
-    init: Optional[Position] = None,
-    max_iterations: int = GN_MAX_ITERATIONS,
-    step_tol: float = GN_STEP_TOL,
-) -> EstimateResult:
+def multilaterate(anchors: AnchorSet, ranges: Sequence[np.ndarray]) -> EstimateResult:
     """Estimate a position from per-anchor range arrays by Gauss-Newton least squares.
 
     ranges holds one 1-D array per anchor, in AnchorSet order: every
@@ -210,12 +193,11 @@ def multilaterate(
     over anchors a_i and their distances d. At least dimension+1 anchors
     must have a distance, and every distance must be finite and >= 0.
 
-    With an explicit init, a single Gauss-Newton run starts there. Otherwise
-    two runs start from the anchor centroid and from a closed-form linearized
-    seed, and the converged fit with the lower SSR wins; the second start is
-    what keeps the solver out of the mirror-image local minimum that plagues
-    thin anchor geometries. Converged means the step norm dropped below
-    step_tol within max_iterations.
+    Two Gauss-Newton runs start from the anchor centroid and from a
+    closed-form linearized seed, and the converged fit with the lower SSR
+    wins; the second start is what keeps the solver out of the mirror-image
+    local minimum that plagues thin anchor geometries. Converged means the
+    step norm dropped below GN_STEP_TOL within GN_MAX_ITERATIONS.
 
     The dimension is the anchor set's; AnchorSet checked it and the anchor
     geometry when it was built, so only the ranges are checked here.
@@ -240,17 +222,14 @@ def multilaterate(
     pts = np.repeat(anchors._points, counts, axis=0)
     dists = np.concatenate(ranges)
 
-    if init is not None:
-        starts = [init.to_array(dimension)]
-    else:
-        starts = [anchors.centroid().to_array(dimension)]
-        seed = _linear_seed(pts, dists, dimension)
-        if seed is not None:
-            starts.append(seed)
+    starts = [anchors.centroid().to_array(dimension)]
+    seed = _linear_seed(pts, dists, dimension)
+    if seed is not None:
+        starts.append(seed)
 
     best = None
     for start in starts:
-        fit = _gauss_newton(start, pts, dists, max_iterations, step_tol)
+        fit = _gauss_newton(start, pts, dists)
         if best is None:
             best = fit
             continue
@@ -259,10 +238,6 @@ def multilaterate(
             best = fit
 
     p, ssr, jac, iterations, converged = best
-    warnings = ()
-    if covered < 4:
-        warnings = (WARN_FEW_ANCHORS,)
-
     n = len(dists)
     er = error_radius(jac, ssr) if (n > dimension and converged) else 0.0
     return EstimateResult(
@@ -271,5 +246,4 @@ def multilaterate(
         error_radius=er,
         iterations=iterations,
         converged=converged,
-        warnings=warnings,
     )

@@ -141,15 +141,6 @@ class Identity:
         return self.signing_key.sign(data)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 # -- ledger records ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -206,25 +197,17 @@ class Receipt:
 class Subscription:
     """In-order, exactly-once feed of committed events for one subscriber."""
 
-    def __init__(self, channel: str, tx_type_filter: Optional[str]):
+    def __init__(self, channel: str):
         self.channel = channel
-        self.tx_type_filter = tx_type_filter
         self._queue: deque[ChannelEvent] = deque()
 
     def _offer(self, event: ChannelEvent) -> None:
-        if self.tx_type_filter is None or event.tx_type == self.tx_type_filter:
-            self._queue.append(event)
-
-    def poll(self) -> Optional[ChannelEvent]:
-        return self._queue.popleft() if self._queue else None
+        self._queue.append(event)
 
     def drain(self) -> list[ChannelEvent]:
         out = list(self._queue)
         self._queue.clear()
         return out
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 # -- chaincode -----------------------------------------------------------------
@@ -470,24 +453,6 @@ class Ledger:
                                 identity.certificate.encode())
         return identity
 
-    def verify_identity(self, cert: Certificate, now_ns: Optional[int] = None) -> VerificationResult:
-        """Check issuer signature, validity window and membership."""
-        try:
-            Ed25519PublicKey.from_public_bytes(self.authority.public_key).verify(
-                cert.issuer_signature, cert.canonical_bytes()
-            )
-        except (InvalidSignature, ValueError):
-            return VerificationResult(False, "unknown-issuer")
-        now = self.clock.now_ns if now_ns is None else now_ns
-        if now < cert.valid_from:
-            return VerificationResult(False, "not-yet-valid")
-        if now > cert.valid_to:
-            return VerificationResult(False, "expired")
-        registered = self._state.registry.get(cert.subject)
-        if registered is None or registered.public_key != cert.public_key:
-            return VerificationResult(False, "unknown-subject")
-        return VerificationResult(True, "ok")
-
     # -- channels --
 
     def install_chaincode(self, channel: str, chaincode) -> None:
@@ -528,10 +493,10 @@ class Ledger:
                 sub._offer(event)
             return Receipt(height, tx.tx_id)
 
-    def subscribe(self, channel: str, tx_type_filter: Optional[str] = None) -> Subscription:
+    def subscribe(self, channel: str) -> Subscription:
         """New event feed starting at the channel's current height."""
         self._state.channel(channel)
-        sub = Subscription(channel, tx_type_filter)
+        sub = Subscription(channel)
         self._subscribers[channel].append(sub)
         return sub
 

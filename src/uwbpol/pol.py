@@ -16,7 +16,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class LocationClaim:
 
     position: Position
     timestamp: int
-    source_tag: str = "gnss-sim"
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,8 @@ def decode_pol_request(payload: bytes) -> PolRequest:
     off += 32
     if off != len(payload):
         raise ValueError("trailing bytes in request payload")
+    if not (ts >= 0 and ts.is_integer()):
+        raise ValueError(f"claim timestamp must be a finite integer >= 0, got {ts!r}")
     return PolRequest(session_id, uav_id, platform_id, code_uav, code_platform,
                       LocationClaim(Position(x, y, z), int(ts)))
 
@@ -156,6 +157,10 @@ def decode_pol_verdict(payload: bytes) -> tuple[bytes, Verdict]:
     if flag not in (0, 1):
         raise ValueError(f"invalid accepted flag {flag:#04x}")
     d, er, buf, lik = struct.unpack_from(">dddd", payload, 17)
+    if not all(math.isfinite(v) for v in (d, er, buf, lik)):
+        raise ValueError("verdict numbers must be finite")
+    if d < 0 or er < 0 or buf <= 0:
+        raise ValueError("verdict distance and error radius must be >= 0, buffer > 0")
     return session_id, Verdict(bool(flag), d, er, buf, lik)
 
 
@@ -176,26 +181,22 @@ def new_session_id(rng: random.Random) -> bytes:
 
 # -- validation contract ---------------------------------------------------------
 
-def validate_location(
-    claim: LocationClaim,
-    estimate: EstimateResult,
-    buffer: float,
-    sigma_model: float = 0.0,
-) -> Verdict:
+def validate_location(claim: LocationClaim, estimate: EstimateResult,
+                      buffer: float) -> Verdict:
     """Judge a claim against the ranging estimate.
 
     Accepts iff the claim-to-estimate distance is within the error buffer.
-    The likelihood score is exp(-d^2 / (2 * (sigma_model^2 + error_radius^2)))
-    so callers can report a smooth confidence instead of the bare boolean.
+    The likelihood score is exp(-d^2 / (2 * error_radius^2)) so callers can
+    report a smooth confidence instead of the bare boolean.
     """
     if buffer <= 0:
         raise ValueError("buffer must be > 0")
     if not estimate.converged:
         raise ValidationUnavailableError("estimate did not converge")
     d = distance(claim.position, estimate.position)
-    sigma_eff_sq = sigma_model**2 + estimate.error_radius**2
-    if sigma_eff_sq > 0:
-        likelihood = math.exp(-(d**2) / (2.0 * sigma_eff_sq))
+    sigma_sq = estimate.error_radius**2
+    if sigma_sq > 0:
+        likelihood = math.exp(-(d**2) / (2.0 * sigma_sq))
     else:
         likelihood = 1.0 if d == 0.0 else 0.0
     return Verdict(
@@ -323,26 +324,16 @@ class StartRanging:
 
 @dataclass(frozen=True)
 class SetTimer:
-    duration_ns: int
-
-
-@dataclass(frozen=True)
-class PolConfig:
-    ranging_rounds: int = RANGING_ROUNDS
-    poll_timeout_ns: int = POLL_TIMEOUT_NS
-    max_retries: int = MAX_RETRIES
-    sigma_model: float = 0.0
+    """Arm the party's timer for POLL_TIMEOUT_NS of simulated time."""
 
 
 @dataclass(frozen=True)
 class UavContext:
-    config: PolConfig
     node_id: str
 
 
 @dataclass(frozen=True)
 class PlatformContext:
-    config: PolConfig
     anchor_set: AnchorSet
     poll_src_id: str
     uav_node_id: str
@@ -380,9 +371,19 @@ def _finish(session: PolSession, verdict: Verdict) -> PolSession:
     return _goto(session, state, verdict=verdict)
 
 
+def _retry(session: PolSession, *resend):
+    """The one retry rule of a waiting state whose wait failed.
+
+    Sends the state's outgoing action again and re-arms the timer, up to
+    MAX_RETRIES times; after that the session aborts with "timeout".
+    """
+    if session.retries < MAX_RETRIES:
+        return replace(session, retries=session.retries + 1), [*resend, SetTimer()]
+    return _abort(session, "timeout"), []
+
+
 def uav_step(session: PolSession, event, ctx: UavContext):
     """UAV-side transition function. Returns (new_session, actions)."""
-    cfg = ctx.config
     st = session.state
 
     if st == SessionState.INIT and isinstance(event, Start):
@@ -391,14 +392,13 @@ def uav_step(session: PolSession, event, ctx: UavContext):
             session.code_uav, session.code_platform, session.claim,
         ))
         return (_goto(session, SessionState.REQUESTED),
-                [SubmitTx(TX_POL_REQUEST, payload), SetTimer(cfg.poll_timeout_ns)])
+                [SubmitTx(TX_POL_REQUEST, payload), SetTimer()])
 
     if st == SessionState.REQUESTED and isinstance(event, LedgerEventIn):
         if event.event.tx_type == TX_POL_REQUEST:
             req = decode_pol_request(event.event.payload)
             if req.session_id == session.session_id:
-                return (_goto(session, SessionState.POLLING),
-                        [SetTimer(cfg.poll_timeout_ns)])
+                return _goto(session, SessionState.POLLING), [SetTimer()]
         raise ProtocolViolationError(st, event)
 
     if st in (SessionState.POLLING, SessionState.RANGING) and isinstance(event, UwbFrameIn):
@@ -412,14 +412,10 @@ def uav_step(session: PolSession, event, ctx: UavContext):
             FrameType.RESPONSE, session.session_id,
             ctx.node_id, frame.src_id, session.code_uav,
         )
-        return (_goto(session, SessionState.RANGING),
-                [SendFrame(response), SetTimer(cfg.poll_timeout_ns)])
+        return _goto(session, SessionState.RANGING), [SendFrame(response), SetTimer()]
 
-    if st == SessionState.RANGING and isinstance(event, RangingResultIn):
-        if event.ok:
-            return (_goto(session, SessionState.VALIDATING),
-                    [SetTimer(cfg.poll_timeout_ns)])
-        return session, [SetTimer(cfg.poll_timeout_ns)]
+    if st == SessionState.RANGING and isinstance(event, RangingResultIn) and event.ok:
+        return _goto(session, SessionState.VALIDATING), [SetTimer()]
 
     if st == SessionState.VALIDATING and isinstance(event, VerdictIn):
         if event.session_id != session.session_id:
@@ -430,17 +426,18 @@ def uav_step(session: PolSession, event, ctx: UavContext):
         SessionState.REQUESTED, SessionState.POLLING,
         SessionState.RANGING, SessionState.VALIDATING,
     ):
-        if session.retries < cfg.max_retries:
-            return (replace(session, retries=session.retries + 1),
-                    [SetTimer(cfg.poll_timeout_ns)])
-        return _abort(session, "timeout"), []
+        return _retry(session)
 
     raise ProtocolViolationError(st, event)
 
 
+def _poll(session: PolSession, ctx: PlatformContext) -> RangingFrame:
+    return RangingFrame(FrameType.POLL, session.session_id,
+                        ctx.poll_src_id, ctx.uav_node_id, session.code_platform)
+
+
 def platform_step(session: PolSession, event, ctx: PlatformContext):
     """Platform-side transition function. Returns (new_session, actions)."""
-    cfg = ctx.config
     st = session.state
 
     if st == SessionState.INIT and isinstance(event, Start):
@@ -450,10 +447,6 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
         if event.event.tx_type != TX_POL_REQUEST:
             raise ProtocolViolationError(st, event)
         req = decode_pol_request(event.event.payload)
-        poll = RangingFrame(
-            FrameType.POLL, req.session_id,
-            ctx.poll_src_id, ctx.uav_node_id, req.code_platform,
-        )
         armed = replace(
             session,
             session_id=req.session_id,
@@ -463,8 +456,7 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
             code_platform=req.code_platform,
             claim=req.claim,
         )
-        return (_goto(armed, SessionState.POLLING),
-                [SendFrame(poll), SetTimer(cfg.poll_timeout_ns)])
+        return _goto(armed, SessionState.POLLING), [SendFrame(_poll(armed, ctx)), SetTimer()]
 
     if st == SessionState.POLLING and isinstance(event, UwbFrameIn):
         frame = event.frame
@@ -472,49 +464,28 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
             raise ProtocolViolationError(st, event)
         if frame.session_id != session.session_id or frame.code != session.code_uav:
             return _abort(session, "code-mismatch"), []
-        return (_goto(session, SessionState.RANGING),
-                [StartRanging(), SetTimer(cfg.poll_timeout_ns)])
+        return _goto(session, SessionState.RANGING), [StartRanging(), SetTimer()]
 
-    if st == SessionState.POLLING and isinstance(event, TimeoutIn):
-        if session.retries < cfg.max_retries:
-            poll = RangingFrame(
-                FrameType.POLL, session.session_id,
-                ctx.poll_src_id, ctx.uav_node_id, session.code_platform,
-            )
-            return (replace(session, retries=session.retries + 1),
-                    [SendFrame(poll), SetTimer(cfg.poll_timeout_ns)])
-        return _abort(session, "timeout"), []
-
-    if st == SessionState.RANGING and isinstance(event, RangingResultIn):
-        if not event.ok:
-            if session.retries < cfg.max_retries:
-                return (replace(session, retries=session.retries + 1),
-                        [StartRanging(), SetTimer(cfg.poll_timeout_ns)])
-            return _abort(session, "timeout"), []
+    if st == SessionState.RANGING and isinstance(event, RangingResultIn) and event.ok:
         estimate = multilaterate(ctx.anchor_set, event.ranges)
         if not estimate.converged:
             return _abort(replace(session, estimate=estimate), "validation-unavailable"), []
-        verdict = validate_location(session.claim, estimate, ctx.buffer, cfg.sigma_model)
+        verdict = validate_location(session.claim, estimate, ctx.buffer)
         payload = encode_pol_verdict(session.session_id, verdict)
         return (_goto(session, SessionState.VALIDATING, estimate=estimate),
-                [SubmitTx(TX_POL_VERDICT, payload), SetTimer(cfg.poll_timeout_ns)])
-
-    if st == SessionState.RANGING and isinstance(event, TimeoutIn):
-        if session.retries < cfg.max_retries:
-            return (replace(session, retries=session.retries + 1),
-                    [StartRanging(), SetTimer(cfg.poll_timeout_ns)])
-        return _abort(session, "timeout"), []
+                [SubmitTx(TX_POL_VERDICT, payload), SetTimer()])
 
     if st == SessionState.VALIDATING and isinstance(event, VerdictIn):
         if event.session_id != session.session_id:
             raise ProtocolViolationError(st, event)
         return _finish(session, event.verdict), []
 
+    if st == SessionState.POLLING and isinstance(event, TimeoutIn):
+        return _retry(session, SendFrame(_poll(session, ctx)))
+    if st == SessionState.RANGING and isinstance(event, (TimeoutIn, RangingResultIn)):
+        return _retry(session, StartRanging())  # a timeout or a failed sweep
     if st == SessionState.VALIDATING and isinstance(event, TimeoutIn):
-        if session.retries < cfg.max_retries:
-            return (replace(session, retries=session.retries + 1),
-                    [SetTimer(cfg.poll_timeout_ns)])
-        return _abort(session, "timeout"), []
+        return _retry(session)
 
     raise ProtocolViolationError(st, event)
 
@@ -569,7 +540,6 @@ def run_session(
     claim: LocationClaim,
     session_rng: random.Random,
     buffer: float = DEFAULT_BUFFER_M,
-    config: PolConfig = PolConfig(),
     poll_tamper: Optional[Callable[[RangingFrame], RangingFrame]] = None,
 ) -> SessionOutcome:
     """Drive one handshake to a terminal state on both sides.
@@ -577,7 +547,7 @@ def run_session(
     Every handshake frame goes over the air through uwb.transmit between
     the UAV's node and the platform's first anchor, so a UAV out of radio
     range never answers a poll. StartRanging runs one uwb.ranging_sweep of
-    config.ranging_rounds rounds, and its per-anchor distance arrays go to
+    RANGING_ROUNDS rounds, and its per-anchor distance arrays go to
     the platform as they are. poll_tamper, when given, rewrites every
     platform poll frame before it goes on the air (used to model replay
     attacks on the radio path).
@@ -590,7 +560,7 @@ def run_session(
         PolSession("uav", session_id, uav_party.identity.name,
                    platform_party.identity.name, code_uav, code_platform, claim=claim),
         uav_step,
-        UavContext(config, uav_party.node.node_id),
+        UavContext(uav_party.node.node_id),
         uav_party.identity,
     )
     platform_rt = _PartyRuntime(
@@ -598,7 +568,7 @@ def run_session(
         PolSession("platform", b"\x00" * 16, "", platform_party.identity.name,
                    b"\x00" * 16, b"\x00" * 16),
         platform_step,
-        PlatformContext(config, platform_party.anchor_set,
+        PlatformContext(platform_party.anchor_set,
                         platform_party.anchor_nodes[0].node_id,
                         uav_party.node.node_id, buffer),
         platform_party.identity,
@@ -630,7 +600,7 @@ def run_session(
 
     def execute(rt: _PartyRuntime, action) -> None:
         if isinstance(action, SetTimer):
-            rt.deadline = lg.clock.now_ns + action.duration_ns
+            rt.deadline = lg.clock.now_ns + POLL_TIMEOUT_NS
         elif isinstance(action, SubmitTx):
             try:
                 lg.submit_transaction(rt.identity, DEFAULT_CHANNEL,
@@ -658,7 +628,7 @@ def run_session(
                 rt.session.session_id,
                 code_to_send=rt.session.code_platform,
                 code_expected=rt.session.code_uav,
-                rounds=config.ranging_rounds,
+                rounds=RANGING_ROUNDS,
             )
             if sum(len(r) > 0 for r in ranges) > platform_party.anchor_set.dimension:
                 pending.append(("uav", RangingResultIn(True)))

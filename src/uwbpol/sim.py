@@ -29,10 +29,7 @@ from .ledger import DEFAULT_CHANNEL, Ledger, Role
 from .pol import (
     LocationClaim,
     PolChaincode,
-    PolConfig,
-    PolSession,
     PlatformParty,
-    SessionOutcome,
     SessionState,
     UavParty,
     Verdict,
@@ -342,13 +339,11 @@ def _replay_tamper(stale_session_id: bytes, stale_code: bytes):
 
 # -- execution ---------------------------------------------------------------------
 
-def run(scenario: Scenario, seed_override: Optional[int] = None,
-        config: Optional[PolConfig] = None) -> RunReport:
+def run(scenario: Scenario, seed_override: Optional[int] = None) -> RunReport:
     """Run every attempt of the scenario as an independent session."""
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)  # Scenario checks the seed
     seed = scenario.seed
-    config = config if config is not None else PolConfig()
     master = random.Random(seed)
     clock = SimClock()
     lg = Ledger(seed=seed, clock=clock)
@@ -398,7 +393,6 @@ def run(scenario: Scenario, seed_override: Optional[int] = None,
             claim,
             session_rng,
             buffer=scenario.buffer,
-            config=config,
             poll_tamper=poll_tamper,
         )
         last_session = (outcome.uav.session_id, outcome.uav.code_platform)
@@ -462,8 +456,7 @@ def apply_parameter(scenario: Scenario, parameter: str, value: float) -> Scenari
 
 
 def sweep(scenario: Scenario, parameter: str, values: Sequence[float],
-          reps: int = DEFAULT_SWEEP_REPS,
-          config: Optional[PolConfig] = None) -> list[SweepRow]:
+          reps: int = DEFAULT_SWEEP_REPS) -> list[SweepRow]:
     """One aggregate row per parameter value over `reps` seeded repetitions.
 
     Repetition k always runs with seed scenario.seed + k, so rows for
@@ -481,7 +474,7 @@ def sweep(scenario: Scenario, parameter: str, values: Sequence[float],
         radii: list[float] = []
         dists: list[float] = []
         for rep in range(reps):
-            report = run(variant, seed_override=scenario.seed + rep, config=config)
+            report = run(variant, seed_override=scenario.seed + rep)
             for rec in report.records:
                 total += 1
                 accepted += rec.authorized

@@ -45,7 +45,6 @@ EXCHANGE_TAIL_NS = 1_000  # after the response arrives, before the next exchange
 class FrameType(IntEnum):
     POLL = 0x01
     RESPONSE = 0x02
-    FINAL = 0x03
 
 
 @lru_cache(maxsize=1024)  # node ids recur constantly on the ranging hot path
@@ -70,7 +69,7 @@ class RangingFrame:
     tx_timestamp: int = 0
 
     def __post_init__(self):
-        if self.frame_type not in (FrameType.POLL, FrameType.RESPONSE, FrameType.FINAL):
+        if self.frame_type not in (FrameType.POLL, FrameType.RESPONSE):
             raise FrameEncodingError(f"invalid frame type {self.frame_type!r}")
         if len(self.session_id) != 16:
             raise FrameEncodingError("session_id must be exactly 16 bytes")
@@ -175,7 +174,7 @@ class ChannelModel:
         draw = self.rng.random
         return np.array([draw() >= self.loss_prob for _ in range(sends)], dtype=bool)
 
-    def round_trips(self, true_dists: np.ndarray, reply_delay: int) -> np.ndarray:
+    def round_trips(self, true_dists: np.ndarray) -> np.ndarray:
         """Initiator-timed round trips (ns) of exchanges over these distances.
 
         Timing jitter is equivalent to the channel's range noise plus bias;
@@ -185,21 +184,21 @@ class ChannelModel:
         n, sigma = len(true_dists), self.noise_sigma
         noise = [self.rng.gauss(0.0, sigma) for _ in range(n)] if sigma else [0.0] * n
         err = self.bias + np.array(noise, dtype=float)
-        t_reply = float(reply_delay)
+        t_reply = float(DEFAULT_REPLY_DELAY_NS)
         return np.maximum(2.0 * (true_dists + err) / SPEED_OF_LIGHT * 1e9 + t_reply, t_reply)
 
 
 @dataclass
 class RadioNode:
-    """A UWB transceiver at a known position."""
+    """A UWB transceiver at a known position.
+
+    Every responder waits DEFAULT_REPLY_DELAY_NS between poll rx and response tx.
+    """
 
     node_id: str
     position: Position
-    reply_delay: int = DEFAULT_REPLY_DELAY_NS  # ns between poll rx and response tx
 
     def __post_init__(self):
-        if self.reply_delay <= 0:
-            raise ValueError("reply_delay must be > 0")
         _check_id("node_id", self.node_id)
 
 
@@ -258,9 +257,9 @@ def ranging_exchange(
         raise RangingTimeout("response lost")
 
     true_dist = distance(initiator.position, responder.position)
-    t_round = float(channel.round_trips(np.array([true_dist]), responder.reply_delay)[0])
+    t_round = float(channel.round_trips(np.array([true_dist]))[0])
     channel.clock.advance(t_round + EXCHANGE_TAIL_NS)
-    return twr_distance(t_round, float(responder.reply_delay)), response.code
+    return twr_distance(t_round, float(DEFAULT_REPLY_DELAY_NS)), response.code
 
 
 def ranging_sweep(
@@ -307,10 +306,10 @@ def ranging_sweep(
         answered_right.append(right)
 
     true_dists = np.array([distance(a.position, target.position) for a in anchor_array])
-    t_round = channel.round_trips(np.repeat(true_dists, completed), target.reply_delay)
+    t_round = channel.round_trips(np.repeat(true_dists, completed))
     timeouts = len(anchor_array) * rounds - len(t_round)
     channel.clock.advance(int(np.rint(t_round + EXCHANGE_TAIL_NS).sum())
                           + timeouts * EXCHANGE_TIMEOUT_NS)
-    per_anchor = np.split(twr_distance(t_round, float(target.reply_delay)),
+    per_anchor = np.split(twr_distance(t_round, float(DEFAULT_REPLY_DELAY_NS)),
                           np.cumsum(completed)[:-1])
     return [d if right else d[:0] for d, right in zip(per_anchor, answered_right)]

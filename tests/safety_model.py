@@ -29,7 +29,6 @@ from uwbpol.pol import (
     LedgerEventIn,
     LocationClaim,
     PlatformContext,
-    PolConfig,
     PolSession,
     RangingResultIn,
     SendFrame,
@@ -60,8 +59,8 @@ TRUTH = Position(3.95, 2.705)
 SPOOFED = Position(5.95, 2.705)  # 2 m off, outside the 1 m buffer
 
 ANCHORS = make_anchor_set(FIG4_ANCHOR_COORDS)
-UAV_CTX = UavContext(PolConfig(), "uav")
-PLATFORM_CTX = PlatformContext(PolConfig(), ANCHORS, "a0", "uav", buffer=1.0)
+UAV_CTX = UavContext("uav")
+PLATFORM_CTX = PlatformContext(ANCHORS, "a0", "uav", buffer=1.0)
 
 HONEST_MEASUREMENTS = tuple(np.array([distance(pos, TRUTH)]) for _, pos in ANCHORS.anchors)
 

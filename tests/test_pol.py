@@ -22,7 +22,6 @@ from uwbpol.pol import (
     PlatformContext,
     PlatformParty,
     PolChaincode,
-    PolConfig,
     PolRequest,
     PolSession,
     RangingResultIn,
@@ -139,11 +138,6 @@ class TestValidateLocation:
         with pytest.raises(ValueError):
             validate_location(CLAIM, _estimate(3.95, 2.705), buffer=0.0)
 
-    def test_likelihood_uses_sigma_model(self):
-        near = validate_location(CLAIM, _estimate(4.2, 2.705), buffer=1.0, sigma_model=0.5)
-        bare = validate_location(CLAIM, _estimate(4.2, 2.705), buffer=1.0, sigma_model=0.0)
-        assert near.likelihood > bare.likelihood
-
 
 def uav_session(state=SessionState.INIT, **kw):
     fields = dict(role="uav", session_id=SID, uav_id="uav-1", platform_id="pad-1",
@@ -159,9 +153,8 @@ def platform_session(state=SessionState.INIT, **kw):
     return PolSession(**fields)
 
 
-UAV_CTX = UavContext(PolConfig(), "uav")
-PLATFORM_CTX = PlatformContext(
-    PolConfig(), make_anchor_set(FIG4_ANCHOR_COORDS), "a0", "uav", buffer=1.0)
+UAV_CTX = UavContext("uav")
+PLATFORM_CTX = PlatformContext(make_anchor_set(FIG4_ANCHOR_COORDS), "a0", "uav", buffer=1.0)
 
 
 class TestUavMachine:
@@ -222,22 +215,14 @@ class TestUavMachine:
                          UAV_CTX)
         assert s2.state is SessionState.REJECTED
 
-    def test_timeout_retries_then_aborts(self):
-        s = uav_session(SessionState.POLLING)
-        for i in range(PolConfig().max_retries):
-            s, actions = uav_step(s, TimeoutIn(), UAV_CTX)
-            assert s.state is SessionState.POLLING
-            assert s.retries == i + 1
-        s, _ = uav_step(s, TimeoutIn(), UAV_CTX)
-        assert s.state is SessionState.ABORTED
-        assert s.abort_reason == "timeout"
-
     def test_invalid_event_raises(self):
         with pytest.raises(ProtocolViolationError):
             uav_step(uav_session(SessionState.INIT), TimeoutIn(), UAV_CTX)
         with pytest.raises(ProtocolViolationError):
             uav_step(uav_session(SessionState.REQUESTED),
                      VerdictIn(SID, Verdict(True, 0, 0, 1, 1)), UAV_CTX)
+        with pytest.raises(ProtocolViolationError):  # only the platform hears a failed sweep
+            uav_step(uav_session(SessionState.RANGING), RangingResultIn(False), UAV_CTX)
 
 
 class TestPlatformMachine:
@@ -285,25 +270,47 @@ class TestPlatformMachine:
         assert verdict.accepted
         assert verdict.claim_to_estimate_distance < 1e-6
 
-    def test_failed_ranging_retries_then_aborts(self):
-        s = platform_session(SessionState.RANGING)
-        for _ in range(PolConfig().max_retries):
-            s, actions = platform_step(s, RangingResultIn(False), PLATFORM_CTX)
-            assert s.state is SessionState.RANGING
-            assert any(isinstance(a, StartRanging) for a in actions)
-        s, _ = platform_step(s, RangingResultIn(False), PLATFORM_CTX)
-        assert s.state is SessionState.ABORTED
-
-    def test_poll_timeout_resends(self):
-        s, actions = platform_step(platform_session(SessionState.POLLING),
-                                   TimeoutIn(), PLATFORM_CTX)
-        assert s.state is SessionState.POLLING and s.retries == 1
-        assert any(isinstance(a, SendFrame) for a in actions)
-
     def test_invalid_event_raises(self):
         with pytest.raises(ProtocolViolationError):
             platform_step(platform_session(SessionState.INIT),
                           RangingResultIn(True), PLATFORM_CTX)
+
+
+# Every waiting state of both machines: (step, context, session, event, resend),
+# where resend is what each retry sends again besides re-arming the timer.
+RETRY_CASES = {
+    "uav-REQUESTED": (uav_step, UAV_CTX, uav_session(SessionState.REQUESTED), TimeoutIn(), None),
+    "uav-POLLING": (uav_step, UAV_CTX, uav_session(SessionState.POLLING), TimeoutIn(), None),
+    "uav-RANGING": (uav_step, UAV_CTX, uav_session(SessionState.RANGING), TimeoutIn(), None),
+    "uav-VALIDATING": (uav_step, UAV_CTX, uav_session(SessionState.VALIDATING),
+                       TimeoutIn(), None),
+    "platform-POLLING": (platform_step, PLATFORM_CTX, platform_session(SessionState.POLLING),
+                         TimeoutIn(),
+                         SendFrame(RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_P))),
+    "platform-RANGING-timeout": (platform_step, PLATFORM_CTX,
+                                 platform_session(SessionState.RANGING), TimeoutIn(),
+                                 StartRanging()),
+    "platform-RANGING-failed": (platform_step, PLATFORM_CTX,
+                                platform_session(SessionState.RANGING), RangingResultIn(False),
+                                StartRanging()),
+    "platform-VALIDATING": (platform_step, PLATFORM_CTX,
+                            platform_session(SessionState.VALIDATING), TimeoutIn(), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETRY_CASES))
+def test_retry_rule(case):
+    step, ctx, s, event, resend = RETRY_CASES[case]
+    waiting = s.state
+    for i in range(pol.MAX_RETRIES):
+        s, actions = step(s, event, ctx)
+        assert s.state is waiting and s.retries == i + 1
+        assert [a for a in actions if not isinstance(a, SetTimer)] == (
+            [] if resend is None else [resend])
+        assert sum(isinstance(a, SetTimer) for a in actions) == 1
+    s, actions = step(s, event, ctx)
+    assert s.state is SessionState.ABORTED and s.abort_reason == "timeout"
+    assert actions == []
 
 
 class TestPolChaincode:

@@ -10,7 +10,6 @@ import pytest
 from uwbpol import sim
 from uwbpol.errors import ScenarioError
 from uwbpol.geo import Position
-from uwbpol.pol import PolConfig
 from uwbpol.sim import (
     ATTACK_CODE_REPLAY,
     ATTACK_GNSS_SPOOF,
@@ -22,8 +21,6 @@ from uwbpol.sim import (
     scenario_from_dict,
     sweep,
 )
-
-FAST = PolConfig(ranging_rounds=50)
 
 
 class TestPresets:
@@ -230,14 +227,14 @@ class TestScenarioInvariants:
 
 class TestRun:
     def test_fig4_honest_both_authorized(self):
-        report = run(get_preset("fig4"), seed_override=7, config=FAST)
+        report = run(get_preset("fig4"), seed_override=7)
         assert [r.terminal_state for r in report.records] == ["AUTHORIZED", "AUTHORIZED"]
         assert report.acceptance_rate == 1.0
 
     def test_determinism(self):
         sc = get_preset("fig4")
-        a = run(sc, seed_override=3, config=FAST)
-        b = run(sc, seed_override=3, config=FAST)
+        a = run(sc, seed_override=3)
+        b = run(sc, seed_override=3)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra.estimate.position == rb.estimate.position
@@ -247,7 +244,7 @@ class TestRun:
     def test_spoof_rejects_only_target_attempt(self):
         sc = replace(get_preset("fig4"),
                      attack=AttackSpec(ATTACK_GNSS_SPOOF, 0, Position(2.0, 0.0, 0.0)))
-        report = run(sc, seed_override=7, config=FAST)
+        report = run(sc, seed_override=7)
         assert report.records[0].terminal_state == "REJECTED"
         assert report.records[1].terminal_state == "AUTHORIZED"
         # The spoofed claim sits ~2 m from the estimate.
@@ -255,7 +252,7 @@ class TestRun:
 
     def test_wrong_identity_aborts_without_ranging(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_WRONG_IDENTITY, 0))
-        report = run(sc, seed_override=7, config=FAST)
+        report = run(sc, seed_override=7)
         rec = report.records[0]
         assert rec.terminal_state == "ABORTED"
         assert rec.abort_reason == "unauthorized"
@@ -264,7 +261,7 @@ class TestRun:
 
     def test_code_replay_aborts_without_ranging(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_CODE_REPLAY, 1))
-        report = run(sc, seed_override=7, config=FAST)
+        report = run(sc, seed_override=7)
         rec = report.records[1]
         assert rec.terminal_state == "ABORTED"
         assert rec.abort_reason == "code-mismatch"
@@ -273,7 +270,7 @@ class TestRun:
 
     def test_code_replay_on_first_attempt(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_CODE_REPLAY, 0))
-        report = run(sc, seed_override=7, config=FAST)
+        report = run(sc, seed_override=7)
         assert report.records[0].terminal_state == "ABORTED"
 
     def test_honest_completeness_lossless(self):
@@ -286,7 +283,7 @@ class TestRun:
                 assert report.acceptance_rate == 1.0, (preset, seed)
 
     def test_audit_log_attached(self, tmp_path):
-        report = run(get_preset("fig4"), seed_override=7, config=FAST)
+        report = run(get_preset("fig4"), seed_override=7)
         path = tmp_path / "audit.log"
         report.ledger.write_audit_log(path)
         from uwbpol.ledger import replay_audit_log
@@ -299,19 +296,17 @@ class TestRun:
 
 class TestSweep:
     def test_noise_sigma_monotone_error_radius(self):
-        rows = sweep(get_preset("fig4"), "noise_sigma", [0.0, 0.05, 0.1],
-                     reps=100, config=FAST)
+        rows = sweep(get_preset("fig4"), "noise_sigma", [0.0, 0.05, 0.1], reps=100)
         radii = [r.median_error_radius for r in rows]
         assert radii[0] < radii[1] < radii[2]
 
     def test_buffer_acceptance_non_decreasing(self):
         sc = get_preset("fig5")
-        rows = sweep(sc, "buffer", [0.01, 1.0], reps=100, config=FAST)
+        rows = sweep(sc, "buffer", [0.01, 1.0], reps=100)
         assert rows[0].acceptance_rate <= rows[1].acceptance_rate
 
     def test_distance_scale_grows_error_radius(self):
-        rows = sweep(get_preset("fig4"), "distance_scale", [1.0, 4.0],
-                     reps=100, config=FAST)
+        rows = sweep(get_preset("fig4"), "distance_scale", [1.0, 4.0], reps=100)
         assert rows[1].median_error_radius > rows[0].median_error_radius
 
     def test_bad_parameter(self):
@@ -323,7 +318,7 @@ class TestSweep:
             run(get_preset("fig4"), seed_override=2**64)
         sc = replace(get_preset("fig4"), seed=2**64 - 1)
         with pytest.raises(ScenarioError, match="seed"):
-            sweep(sc, "buffer", [1.0], reps=2, config=PolConfig(ranging_rounds=1))
+            sweep(sc, "buffer", [1.0], reps=2)
 
     def test_zero_reps(self):
         with pytest.raises(ValueError, match="reps"):

@@ -356,7 +356,3 @@ class TestChannelModel:
             ChannelModel(loss_prob=1.0)
         with pytest.raises(ValueError):
             ChannelModel(max_range=0.0)
-
-    def test_reply_delay_positive(self):
-        with pytest.raises(ValueError):
-            RadioNode("x", Position(0, 0), reply_delay=0)
