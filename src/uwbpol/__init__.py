@@ -12,6 +12,7 @@ from .geo import (
     AnchorSet,
     EstimateResult,
     Position,
+    RangeStats,
     SPEED_OF_LIGHT,
     distance,
     error_radius,

@@ -1,17 +1,18 @@
 """Ranging arithmetic and position estimation.
 
 Distances come from single-sided two-way ranging (poll/response), positions
-from iterative least squares over ranges to fixed anchors. Everything here
-is a pure function over immutable inputs.
+from iterative least squares over ranges to fixed anchors, each anchor's
+distances summed up in one RangeStats. The normal equations are 2x2 or 3x3,
+so they are solved in closed form. Everything here is a pure function over
+immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     GeometryError,
@@ -41,16 +42,82 @@ class Position:
             if not math.isfinite(v):
                 raise ValueError(f"coordinate {name} must be finite, got {v!r}")
 
-    def to_array(self, dimension: int = 3) -> np.ndarray:
-        if dimension == 2:
-            return np.array([self.x, self.y], dtype=float)
-        return np.array([self.x, self.y, self.z], dtype=float)
+
+@dataclass(frozen=True)
+class RangeStats:
+    """count distances to one anchor, their mean and sum of squared deviations.
+
+    The squared residuals of the distances at any r sum to
+    count * (r - mean)^2 + ssd, which is all a least-squares fit needs.
+    """
+
+    count: int
+    mean: float = 0.0
+    ssd: float = 0.0
+
+    def __post_init__(self):
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 0:
+            raise GeometryError(f"count must be an int >= 0, got {self.count!r}")
+        for v in (self.mean, self.ssd):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+                raise GeometryError(f"mean and ssd must be finite numbers >= 0, got {v!r}")
+        if (self.count == 0 and self.mean) or (self.count < 2 and self.ssd):
+            raise GeometryError(f"{self.count} distances cannot have mean {self.mean!r} "
+                                f"and ssd {self.ssd!r}")
 
     @staticmethod
-    def from_array(a: np.ndarray) -> "Position":
-        if len(a) == 2:
-            return Position(float(a[0]), float(a[1]), 0.0)
-        return Position(float(a[0]), float(a[1]), float(a[2]))
+    def of(distances: Iterable[float]) -> "RangeStats":
+        """The statistics of these distances, each finite and >= 0."""
+        xs = list(distances)
+        if min(xs, default=0.0) < 0:  # a NaN or inf fails the mean's check
+            raise GeometryError("distances must be >= 0")
+        if not xs:
+            return RangeStats(0)
+        mean = math.fsum(xs) / len(xs)
+        devs = [x - mean for x in xs]
+        drift = math.fsum(devs)  # cancels the rounding error of mean
+        return RangeStats(len(xs), mean,
+                          max(math.fsum([d * d for d in devs]) - drift * drift / len(xs), 0.0))
+
+
+def _det(m) -> float:
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _solve(m, v) -> list[float]:
+    """Cramer's rule for a non-singular 2x2 or 3x3 m."""
+    return [_det([[v[i] if k == j else x for k, x in enumerate(row)] for i, row in enumerate(m)])
+            / _det(m) for j in range(len(m))]
+
+
+def _eigenvalues(m) -> list[float]:
+    """Eigenvalues of a symmetric 2x2 or 3x3 matrix, ascending (closed form)."""
+    if len(m) == 2:
+        mid, half = (m[0][0] + m[1][1]) / 2, math.hypot((m[0][0] - m[1][1]) / 2, m[0][1])
+        return [mid - half, mid + half]
+    q = (m[0][0] + m[1][1] + m[2][2]) / 3
+    p = math.sqrt(sum((m[i][i] - q) ** 2 + 2 * m[i][i - 1] ** 2 for i in range(3)) / 6)
+    if p == 0:
+        return [q, q, q]
+    shifted = [[(x - q * (i == j)) / p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    phi = math.acos(max(-1.0, min(1.0, _det(shifted) / 2))) / 3
+    hi, lo = q + 2 * p * math.cos(phi), q + 2 * p * math.cos(phi + 2 * math.pi / 3)
+    return [lo, 3 * q - hi - lo, hi]
+
+
+def _condition(m) -> float:
+    lo, *_, hi = _eigenvalues(m)
+    return hi / lo if lo > 0 else math.inf
+
+
+def _gram(rows) -> list[list[float]]:
+    """J^T J of the jacobian whose rows are count copies of u, over (count, u)."""
+    dim = range(len(rows[0][1]))
+    return [[math.fsum(c * u[i] * u[j] for c, u in rows) for j in dim] for i in dim]
 
 
 class AnchorSet:
@@ -71,15 +138,20 @@ class AnchorSet:
             raise GeometryError(
                 f"need at least {dimension + 1} anchors for {dimension}D, got {len(anchors)}"
             )
-        pts = np.array([p.to_array(dimension) for _, p in anchors])
-        # Rank of the centered anchor cloud: < dimension means collinear/coplanar.
-        centered = pts - pts.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) < dimension:
+        pts = tuple((p.x, p.y, p.z)[:dimension] for _, p in anchors)
+        centre = [sum(c) / len(pts) for c in zip(*pts)]
+        centred = [[v - m for v, m in zip(p, centre)] for p in pts]
+        # Collinear/coplanar: the centred cloud's smallest singular value is
+        # <= 1e-9. Its square is det(C^T C) over the other eigenvalues, with
+        # the det summed from squared minors (Cauchy-Binet) to stay exact near 0.
+        det = math.fsum(_det(minor) ** 2 for minor in combinations(centred, dimension))
+        if det <= 1e-18 * math.prod(_eigenvalues(_gram([(1, c) for c in centred]))[1:]):
             kind = "collinear" if dimension == 2 else "coplanar"
             raise GeometryError(f"anchors must not be all {kind}")
         self.dimension = dimension
         self.anchors = tuple(anchors)
         self._points = pts
+        self._centre = centre
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -89,8 +161,7 @@ class AnchorSet:
         return tuple(a_id for a_id, _ in self.anchors)
 
     def centroid(self) -> Position:
-        c = self._points.mean(axis=0)
-        return Position.from_array(c)
+        return Position(*self._centre)
 
 
 @dataclass(frozen=True)
@@ -109,89 +180,97 @@ def distance(p: Position, q: Position) -> float:
     return math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
 
 
-def twr_distance(t_round_ns, t_reply_ns: float, c: float = SPEED_OF_LIGHT):
-    """Single-sided two-way-ranging distance; elementwise on an array of round trips.
+def twr_distance(t_round_ns: float, t_reply_ns: float, c: float = SPEED_OF_LIGHT) -> float:
+    """Single-sided two-way-ranging distance.
 
     t_round_ns is the initiator's poll-to-response round-trip time and
     t_reply_ns the responder's internal reply delay, both in nanoseconds on
     their own local clocks (offsets cancel). Distance is c*(round - reply)/2.
     """
-    if np.any(t_round_ns < t_reply_ns):
+    if t_round_ns < t_reply_ns:
         raise InvalidTimingError(
             f"t_round ({t_round_ns} ns) must be >= t_reply ({t_reply_ns} ns)"
         )
     return c * (t_round_ns - t_reply_ns) * 1e-9 / 2.0
 
 
-def error_radius(jacobian: np.ndarray, ssr: float) -> float:
+def error_radius(jacobian: Sequence[tuple[int, Sequence[float]]], ssr: float) -> float:
     """Scalar 1-sigma error radius of a converged fit.
 
     Uses the parameter covariance of the linearized problem:
     sqrt(trace(sigma_hat^2 * (J^T J)^-1)) with sigma_hat^2 = SSR/(n - dimension),
-    where the jacobian is n x dimension.
+    where the jacobian is n x dimension, given as (count, row) pairs.
     """
-    n, dimension = jacobian.shape
+    n, dimension = sum(c for c, _ in jacobian), len(jacobian[0][1])
     if n <= dimension:
         raise InsufficientDofError(
             f"error radius needs more than {dimension} measurements, got {n}"
         )
-    jtj = jacobian.T @ jacobian
-    if np.linalg.cond(jtj) > COND_LIMIT:
+    jtj = _gram(jacobian)
+    if _condition(jtj) > COND_LIMIT:
         raise GeometryError("normal equations near-singular; error radius undefined")
     sigma_sq = ssr / (n - dimension)
-    return float(math.sqrt(max(sigma_sq, 0.0) * np.trace(np.linalg.inv(jtj))))
+    trace_inv = sum(_solve(jtj, [float(i == j) for i in range(dimension)])[j]
+                    for j in range(dimension))
+    return math.sqrt(max(sigma_sq, 0.0) * trace_inv)
 
 
-def _residuals_jacobian(p: np.ndarray, pts: np.ndarray, dists: np.ndarray):
-    diff = p[None, :] - pts
-    norms = np.linalg.norm(diff, axis=1)
-    norms = np.maximum(norms, 1e-12)  # guard: estimate sitting exactly on an anchor
-    r = norms - dists
-    jac = diff / norms[:, None]
+def _residuals_jacobian(p, rows):
+    r, jac = [], []
+    for a, stats in rows:
+        diff = [pi - ai for pi, ai in zip(p, a)]
+        norm = max(math.hypot(*diff), 1e-12)  # guard: estimate sitting exactly on an anchor
+        r.append(norm - stats.mean)
+        jac.append((stats.count, [d / norm for d in diff]))
     return r, jac
 
 
-def _linear_seed(pts: np.ndarray, dists: np.ndarray, dimension: int) -> Optional[np.ndarray]:
+def _linear_seed(rows, dimension: int) -> Optional[list[float]]:
     """Closed-form linearized trilateration, used as a second solver start.
 
     Subtracting the first equation removes the quadratic term, leaving a
-    linear system in p. None when the system is rank-deficient.
+    linear system in p, with each anchor's mean square distance
+    mean^2 + ssd/count. None when its normal equations are near-singular.
     """
-    a0, d0 = pts[0], dists[0]
-    rows = 2.0 * (pts[1:] - a0[None, :])
-    rhs = (d0**2 - dists[1:] ** 2) + (pts[1:] ** 2).sum(axis=1) - (a0**2).sum()
-    sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    if rank < dimension or not np.all(np.isfinite(sol)):
+    (a0, _), squares = rows[0], [s.mean**2 + s.ssd / s.count for _, s in rows]
+    eqs = [(s.count, [2.0 * (x - x0) for x, x0 in zip(a, a0)],
+            squares[0] - sq + sum(x * x for x in a) - sum(x * x for x in a0))
+           for (a, s), sq in zip(rows[1:], squares[1:])]
+    normal = _gram([(c, g) for c, g, _ in eqs])
+    if _condition(normal) > COND_LIMIT:
         return None
-    return sol
+    return _solve(normal, [math.fsum(c * g[k] * rhs for c, g, rhs in eqs)
+                           for k in range(dimension)])
 
 
-def _gauss_newton(p: np.ndarray, pts: np.ndarray, dists: np.ndarray):
+def _gauss_newton(p, rows):
     """Plain Gauss-Newton from one start; returns (p, ssr, jac, iters, converged)."""
     converged = False
     iterations = 0
-    r, jac = _residuals_jacobian(p, pts, dists)
+    r, jac = _residuals_jacobian(p, rows)
     for iterations in range(1, GN_MAX_ITERATIONS + 1):
-        jtj = jac.T @ jac
-        if np.linalg.cond(jtj) > COND_LIMIT:
+        jtj = _gram(jac)
+        if _condition(jtj) > COND_LIMIT:
             raise GeometryError("degenerate geometry: singular normal equations")
-        step = np.linalg.solve(jtj, -(jac.T @ r))
-        p = p + step
-        r, jac = _residuals_jacobian(p, pts, dists)
-        if np.linalg.norm(step) < GN_STEP_TOL:
+        step = _solve(jtj, [-math.fsum(c * u[k] * ri for (c, u), ri in zip(jac, r))
+                            for k in range(len(p))])
+        p = [pi + si for pi, si in zip(p, step)]
+        r, jac = _residuals_jacobian(p, rows)
+        if math.hypot(*step) < GN_STEP_TOL:
             converged = True
             break
-    return p, float(r @ r), jac, iterations, converged
+    ssr = math.fsum([c * ri * ri for (c, _), ri in zip(jac, r)] + [s.ssd for _, s in rows])
+    return p, ssr, jac, iterations, converged
 
 
-def multilaterate(anchors: AnchorSet, ranges: Sequence[np.ndarray]) -> EstimateResult:
-    """Estimate a position from per-anchor range arrays by Gauss-Newton least squares.
+def multilaterate(anchors: AnchorSet, ranges: Sequence[RangeStats]) -> EstimateResult:
+    """Estimate a position from per-anchor RangeStats by Gauss-Newton least squares.
 
-    ranges holds one 1-D array per anchor, in AnchorSet order: every
-    distance measured to that anchor, possibly none. All of them are pooled
-    as residual rows, so the fit minimizes sum_i sum_d (||p - a_i|| - d)^2
-    over anchors a_i and their distances d. At least dimension+1 anchors
-    must have a distance, and every distance must be finite and >= 0.
+    ranges holds one RangeStats per anchor, in AnchorSet order, of every
+    distance measured to that anchor (count 0 for none). The fit minimizes
+    sum_i sum_d (||p - a_i|| - d)^2 over anchors a_i and their distances d,
+    as one row per anchor weighted by its count, plus the anchors' ssd. At
+    least dimension+1 anchors must have a distance.
 
     Two Gauss-Newton runs start from the anchor centroid and from a
     closed-form linearized seed, and the converged fit with the lower SSR
@@ -204,46 +283,25 @@ def multilaterate(anchors: AnchorSet, ranges: Sequence[np.ndarray]) -> EstimateR
     """
     dimension = anchors.dimension
     if len(ranges) != len(anchors):
-        raise GeometryError(f"need one range array per anchor ({len(anchors)}), "
+        raise GeometryError(f"need one RangeStats per anchor ({len(anchors)}), "
                             f"got {len(ranges)}")
-    ranges = [np.asarray(r, dtype=float) for r in ranges]
-    for anchor_id, r in zip(anchors.ids, ranges):
-        if r.ndim != 1:
-            raise GeometryError(f"ranges to {anchor_id!r} must be a 1-D array")
-        if not np.all(np.isfinite(r) & (r >= 0)):
-            raise GeometryError(f"ranges to {anchor_id!r} must be finite and >= 0")
-    counts = [len(r) for r in ranges]
-    covered = sum(n > 0 for n in counts)
-    if covered < dimension + 1:
+    for anchor_id, stats in zip(anchors.ids, ranges):
+        if not isinstance(stats, RangeStats):
+            raise GeometryError(f"ranges to {anchor_id!r} must be a RangeStats")
+    rows = [(a, stats) for a, stats in zip(anchors._points, ranges) if stats.count]
+    if len(rows) < dimension + 1:
         raise InsufficientRangesError(
-            f"need ranges to at least {dimension + 1} distinct anchors, got {covered}"
+            f"need ranges to at least {dimension + 1} distinct anchors, got {len(rows)}"
         )
 
-    pts = np.repeat(anchors._points, counts, axis=0)
-    dists = np.concatenate(ranges)
-
-    starts = [anchors.centroid().to_array(dimension)]
-    seed = _linear_seed(pts, dists, dimension)
-    if seed is not None:
-        starts.append(seed)
-
-    best = None
-    for start in starts:
-        fit = _gauss_newton(start, pts, dists)
-        if best is None:
-            best = fit
-            continue
-        # Prefer converged fits, then lower SSR.
-        if (fit[4] and not best[4]) or (fit[4] == best[4] and fit[1] < best[1]):
-            best = fit
-
-    p, ssr, jac, iterations, converged = best
-    n = len(dists)
-    er = error_radius(jac, ssr) if (n > dimension and converged) else 0.0
+    # Converged fits first, then the lower SSR; on a tie, the earlier start.
+    fits = [_gauss_newton(start, rows)
+            for start in (anchors._centre, _linear_seed(rows, dimension)) if start is not None]
+    p, ssr, jac, iterations, converged = min(fits, key=lambda fit: (not fit[4], fit[1]))
     return EstimateResult(
-        position=Position.from_array(p),
-        residual_rms=math.sqrt(ssr / n),
-        error_radius=er,
+        position=Position(*p),
+        residual_rms=math.sqrt(ssr / sum(stats.count for _, stats in rows)),
+        error_radius=error_radius(jac, ssr) if converged else 0.0,
         iterations=iterations,
         converged=converged,
     )

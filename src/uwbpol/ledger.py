@@ -549,10 +549,11 @@ class ReplayResult:
 def replay_audit_log(path, chaincode_factory: Callable[[], list]) -> ReplayResult:
     """Re-run an audit log from scratch through LedgerState.commit.
 
-    Each record is parsed, its per-channel height checked, and then
-    committed on the same fixed channels with the same checks as a live
-    commit, so replay accepts exactly what the live ledger accepted. Any
-    LedgerError stops the replay with the record's height and channel.
+    Each record must read exactly as format_audit_record writes it, has its
+    per-channel height checked, and is then committed on the same fixed
+    channels with the same checks as a live commit, so replay accepts
+    exactly what the live ledger accepted. Any LedgerError stops the replay
+    with the record's height and channel.
     chaincode_factory gives the default channel's chaincode set. It must be
     the set the live ledger ran with, as `uwbpol replay` passes
     `pol.standard_chaincodes` for logs that `sim.run` wrote; a smaller set
@@ -590,6 +591,9 @@ def replay_audit_log(path, chaincode_factory: Callable[[], list]) -> ReplayResul
         except (ValueError, binascii.Error) as exc:
             return ReplayResult(False, records,
                                 f"unparseable record at line {lineno}: {exc}")
+        if format_audit_record(height, tx) != line:
+            return ReplayResult(False, records,
+                                f"non-canonical record at line {lineno}")
         try:
             expected_height = len(state.channel(tx.channel).log) + 1
             if height != expected_height:

@@ -2,7 +2,8 @@
 
 A UAV broadcasts a position claim as a ledger transaction; the ground
 platform ranges it over UWB using session codes pre-shared through the
-ledger, estimates its position by multilateration, and commits a verdict
+ledger, estimates its position by multilateration from the per-anchor range
+statistics of one ranging sweep, and commits a verdict
 comparing claim and estimate against an error buffer. Both sides run as
 pure state machines fed by ledger events, radio frames, and timers; the
 orchestrator in run_session wires them to a concrete ledger and channel.
@@ -18,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import (
     ChaincodeError,
     AssetConflictError,
@@ -28,7 +27,7 @@ from .errors import (
     UnauthorizedError,
     ValidationUnavailableError,
 )
-from .geo import AnchorSet, EstimateResult, Position, distance, multilaterate
+from .geo import AnchorSet, EstimateResult, Position, RangeStats, distance, multilaterate
 from .ledger import (
     Asset,
     AssetChaincode,
@@ -49,6 +48,7 @@ DEFAULT_BUFFER_M = 1.0
 POLL_TIMEOUT_NS = 500_000_000  # 500 ms of simulated time
 MAX_RETRIES = 3
 RANGING_ROUNDS = 200  # poll/response rounds pooled into one position estimate
+LIKELIHOOD_TOL = 1e-12  # how far a committed verdict's likelihood may be from its numbers
 
 SESSION_ASSET_PREFIX = "pol-session-"
 
@@ -181,30 +181,31 @@ def new_session_id(rng: random.Random) -> bytes:
 
 # -- validation contract ---------------------------------------------------------
 
+def claim_likelihood(d: float, error_radius: float) -> float:
+    """exp(-d^2 / (2 * error_radius^2)); with a zero radius, 1 at d == 0 and else 0."""
+    sigma_sq = error_radius**2
+    return math.exp(-(d**2) / (2.0 * sigma_sq)) if sigma_sq > 0 else float(d == 0.0)
+
+
 def validate_location(claim: LocationClaim, estimate: EstimateResult,
                       buffer: float) -> Verdict:
     """Judge a claim against the ranging estimate.
 
     Accepts iff the claim-to-estimate distance is within the error buffer.
-    The likelihood score is exp(-d^2 / (2 * error_radius^2)) so callers can
-    report a smooth confidence instead of the bare boolean.
+    The likelihood score of `claim_likelihood` lets callers report a smooth
+    confidence instead of the bare boolean.
     """
     if buffer <= 0:
         raise ValueError("buffer must be > 0")
     if not estimate.converged:
         raise ValidationUnavailableError("estimate did not converge")
     d = distance(claim.position, estimate.position)
-    sigma_sq = estimate.error_radius**2
-    if sigma_sq > 0:
-        likelihood = math.exp(-(d**2) / (2.0 * sigma_sq))
-    else:
-        likelihood = 1.0 if d == 0.0 else 0.0
     return Verdict(
         accepted=d <= buffer,
         claim_to_estimate_distance=d,
         error_radius=estimate.error_radius,
         buffer=buffer,
-        likelihood=likelihood,
+        likelihood=claim_likelihood(d, estimate.error_radius),
     )
 
 
@@ -216,8 +217,9 @@ class PolChaincode:
     POL_REQUEST opens a session asset and pins its codes (codes are
     single-use across sessions); only the UAV it names may submit it.
     POL_VERDICT closes it, only the platform the request names may submit
-    it, and it must be self-consistent, i.e. accepted exactly when
-    distance <= buffer.
+    it, and it must be self-consistent: accepted exactly when
+    distance <= buffer, and its likelihood within LIKELIHOOD_TOL of what
+    `claim_likelihood` gives for its distance and error radius.
     """
 
     def __init__(self):
@@ -262,6 +264,9 @@ class PolChaincode:
                 )
             if verdict.accepted != (verdict.claim_to_estimate_distance <= verdict.buffer):
                 raise ChaincodeError("verdict inconsistent with its own distance/buffer")
+            if abs(verdict.likelihood - claim_likelihood(verdict.claim_to_estimate_distance,
+                                                         verdict.error_radius)) > LIKELIHOOD_TOL:
+                raise ChaincodeError("verdict likelihood inconsistent with its distance/radius")
             assets[asset_id] = Asset(
                 asset_id, current.data + tx.payload, current.owner, current.version + 1
             )
@@ -289,10 +294,12 @@ class UwbFrameIn:
     frame: RangingFrame
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare or hash by
+@dataclass(frozen=True)
 class RangingResultIn:
+    """A finished sweep; the platform's copy has each anchor's RangeStats, in AnchorSet order."""
+
     ok: bool
-    ranges: tuple[np.ndarray, ...] = ()  # per anchor, in AnchorSet order
+    ranges: tuple[RangeStats, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -547,8 +554,8 @@ def run_session(
     Every handshake frame goes over the air through uwb.transmit between
     the UAV's node and the platform's first anchor, so a UAV out of radio
     range never answers a poll. StartRanging runs one uwb.ranging_sweep of
-    RANGING_ROUNDS rounds, and its per-anchor distance arrays go to
-    the platform as they are. poll_tamper, when given, rewrites every
+    RANGING_ROUNDS rounds, and its per-anchor RangeStats go to the
+    platform as they are. poll_tamper, when given, rewrites every
     platform poll frame before it goes on the air (used to model replay
     attacks on the radio path).
     """
@@ -630,7 +637,7 @@ def run_session(
                 code_expected=rt.session.code_uav,
                 rounds=RANGING_ROUNDS,
             )
-            if sum(len(r) > 0 for r in ranges) > platform_party.anchor_set.dimension:
+            if sum(r.count > 0 for r in ranges) > platform_party.anchor_set.dimension:
                 pending.append(("uav", RangingResultIn(True)))
                 pending.append(("platform", RangingResultIn(True, tuple(ranges))))
             else:

@@ -9,9 +9,10 @@ receiver beyond the channel's max_range hears nothing, each send is lost
 independently, and what arrives is what the receiver decodes from the
 frame's wire bytes. The handshake sends its frames one at a time;
 `ranging_sweep` sends each anchor's poll and the target's response once for
-all rounds, draws the per-round losses and the Gaussian range noise (plus a
-constant bias) in batches, and hands back one distance array per anchor.
-`ranging_exchange` is the scalar reference of a single sweep exchange.
+all rounds, draws the per-round losses, then the range noise (plus a
+constant bias) of every completed exchange through `ChannelModel.round_trip`,
+and hands back one RangeStats per anchor. `ranging_exchange` is the scalar
+reference of a single sweep exchange.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .clock import SimClock
 from .errors import FrameEncodingError, MalformedFrameError, RangingTimeout
-from .geo import SPEED_OF_LIGHT, Position, distance, twr_distance
+from .geo import SPEED_OF_LIGHT, Position, RangeStats, distance, twr_distance
 
 FRAME_SIZE = 58
 _FRAME_STRUCT = struct.Struct(">B16s8s8s16sQB")  # type, session, src, dst, code, ts, rsvd
@@ -40,6 +39,7 @@ DEFAULT_MAX_RANGE = 60.0  # m
 DEFAULT_REPLY_DELAY_NS = 300_000  # 300 us
 EXCHANGE_TIMEOUT_NS = 1_000_000  # how long an initiator waits before giving up
 EXCHANGE_TAIL_NS = 1_000  # after the response arrives, before the next exchange
+_T_REPLY = float(DEFAULT_REPLY_DELAY_NS)
 
 
 class FrameType(IntEnum):
@@ -167,25 +167,23 @@ class ChannelModel:
         self.rng = random.Random(seed)
         self.clock = clock if clock is not None else SimClock()
 
-    def deliveries(self, sends: int) -> np.ndarray:
+    def deliveries(self, sends: int) -> list[bool]:
         """Which of `sends` independent sends survive the channel's loss."""
         if self.loss_prob == 0.0:
-            return np.ones(sends, dtype=bool)
+            return [True] * sends
         draw = self.rng.random
-        return np.array([draw() >= self.loss_prob for _ in range(sends)], dtype=bool)
+        return [draw() >= self.loss_prob for _ in range(sends)]
 
-    def round_trips(self, true_dists: np.ndarray) -> np.ndarray:
-        """Initiator-timed round trips (ns) of exchanges over these distances.
+    def round_trip(self, true_dist: float) -> float:
+        """Initiator-timed round trip (ns) of one exchange over this distance.
 
         Timing jitter is equivalent to the channel's range noise plus bias;
         the initiator times the round trip on its own clock, so only the
         responder's reply delay enters, never a clock offset.
         """
-        n, sigma = len(true_dists), self.noise_sigma
-        noise = [self.rng.gauss(0.0, sigma) for _ in range(n)] if sigma else [0.0] * n
-        err = self.bias + np.array(noise, dtype=float)
-        t_reply = float(DEFAULT_REPLY_DELAY_NS)
-        return np.maximum(2.0 * (true_dists + err) / SPEED_OF_LIGHT * 1e9 + t_reply, t_reply)
+        noise = self.rng.gauss(0.0, self.noise_sigma) if self.noise_sigma else 0.0
+        t_round = 2.0 * (true_dist + (self.bias + noise)) / SPEED_OF_LIGHT * 1e9 + _T_REPLY
+        return t_round if t_round > _T_REPLY else _T_REPLY
 
 
 @dataclass
@@ -203,7 +201,7 @@ class RadioNode:
 
 
 def transmit(channel: ChannelModel, frame: RangingFrame, src: RadioNode, dst: RadioNode,
-             sends: int = 1) -> tuple[Optional[RangingFrame], np.ndarray]:
+             sends: int = 1) -> tuple[Optional[RangingFrame], list[bool]]:
     """Send frame from src to dst `sends` times; the one rule for the air.
 
     Range check, then loss, then the codec round trip: a receiver beyond
@@ -213,9 +211,9 @@ def transmit(channel: ChannelModel, frame: RangingFrame, src: RadioNode, dst: Ra
     delivery mask.
     """
     if distance(src.position, dst.position) > channel.max_range:
-        return None, np.zeros(sends, dtype=bool)
+        return None, [False] * sends
     delivered = channel.deliveries(sends)
-    if not delivered.any():
+    if not any(delivered):
         return None, delivered
     return decode_frame(encode_frame(frame)), delivered
 
@@ -257,9 +255,9 @@ def ranging_exchange(
         raise RangingTimeout("response lost")
 
     true_dist = distance(initiator.position, responder.position)
-    t_round = float(channel.round_trips(np.array([true_dist]))[0])
+    t_round = channel.round_trip(true_dist)
     channel.clock.advance(t_round + EXCHANGE_TAIL_NS)
-    return twr_distance(t_round, float(DEFAULT_REPLY_DELAY_NS)), response.code
+    return twr_distance(t_round, _T_REPLY), response.code
 
 
 def ranging_sweep(
@@ -272,17 +270,18 @@ def ranging_sweep(
     rounds: int,
     responder_expects: Optional[bytes] = None,
     responder_replies: Optional[bytes] = None,
-) -> list[np.ndarray]:
+) -> list[RangeStats]:
     """`rounds` exchanges between each anchor and the target, in bulk.
 
     Each anchor's poll and the target's response go through `transmit`
     once for all rounds, so the codes are checked once per anchor on the
     decoded frames: the target stays silent to a poll with the wrong code,
     and a response with the wrong code yields no distance. Losses are drawn
-    per round, and the range noise of every completed exchange in one batch.
-    The clock advances by the sum of the times the same exchanges take in
-    `ranging_exchange`. Returns, per anchor in array order, the distances
-    it measured (an empty array when none).
+    per round for every anchor first, then the range noise of every
+    completed exchange, anchor by anchor. The clock advances by the sum of
+    the times the same exchanges take in `ranging_exchange`. Returns, per
+    anchor in array order, the RangeStats of the distances it measured
+    (RangeStats(0) when none).
     """
     if not anchor_array:
         raise ValueError("anchor_array must not be empty")
@@ -300,16 +299,18 @@ def ranging_sweep(
             response, answered = transmit(channel, RangingFrame(
                 FrameType.RESPONSE, session_id, target.node_id, anchor.node_id,
                 responder_replies), target, anchor, rounds)
-            done = int(np.count_nonzero(polled & answered))
+            done = sum(p and a for p, a in zip(polled, answered))
             right = response is not None and response.code == code_expected
         completed.append(done)
         answered_right.append(right)
 
-    true_dists = np.array([distance(a.position, target.position) for a in anchor_array])
-    t_round = channel.round_trips(np.repeat(true_dists, completed))
-    timeouts = len(anchor_array) * rounds - len(t_round)
-    channel.clock.advance(int(np.rint(t_round + EXCHANGE_TAIL_NS).sum())
-                          + timeouts * EXCHANGE_TIMEOUT_NS)
-    per_anchor = np.split(twr_distance(t_round, float(DEFAULT_REPLY_DELAY_NS)),
-                          np.cumsum(completed)[:-1])
-    return [d if right else d[:0] for d, right in zip(per_anchor, answered_right)]
+    elapsed_ns = (len(anchor_array) * rounds - sum(completed)) * EXCHANGE_TIMEOUT_NS
+    stats = []
+    for anchor, done, right in zip(anchor_array, completed, answered_right):
+        true_dist = distance(anchor.position, target.position)
+        t_rounds = [channel.round_trip(true_dist) for _ in range(done)]
+        elapsed_ns += sum([round(t + EXCHANGE_TAIL_NS) for t in t_rounds])
+        stats.append(RangeStats.of([twr_distance(t, _T_REPLY) for t in t_rounds]) if right
+                     else RangeStats(0))
+    channel.clock.advance(elapsed_ns)
+    return stats

@@ -2,11 +2,10 @@ import os
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import uwbpol
-from uwbpol.geo import AnchorSet, Position
+from uwbpol.geo import AnchorSet, Position, RangeStats, distance
 
 FIG4_ANCHOR_COORDS = [("a0", 2.5, 0.6), ("a1", 2.5, 1.15),
                       ("a2", 2.85, 1.15), ("a3", 2.85, 0.6)]
@@ -28,20 +27,24 @@ def fig5_anchors() -> AnchorSet:
     return make_anchor_set(FIG5_ANCHOR_COORDS)
 
 
-def noisy_ranges(anchors: AnchorSet, target: Position, sigma: float,
-                 rng: random.Random, rounds: int = 1) -> list[np.ndarray]:
-    """Synthesize per-anchor range arrays straight from geometry (no radio layer).
+def noisy_samples(anchors: AnchorSet, target: Position, sigma: float,
+                  rng: random.Random, rounds: int = 1) -> list[list[float]]:
+    """Synthesize per-anchor distance lists straight from geometry (no radio layer).
 
-    Draws go round by round, anchor by anchor, as a ranging sweep orders them.
+    Draws go round by round, anchor by anchor.
     """
-    from uwbpol.geo import distance
-
     out = [[] for _ in anchors.anchors]
     for _ in range(rounds):
         for acc, (_, pos) in zip(out, anchors.anchors):
             d = distance(pos, target) + (rng.gauss(0.0, sigma) if sigma > 0 else 0.0)
             acc.append(max(d, 0.0))
-    return [np.array(acc) for acc in out]
+    return out
+
+
+def noisy_ranges(anchors: AnchorSet, target: Position, sigma: float,
+                 rng: random.Random, rounds: int = 1) -> list[RangeStats]:
+    """The RangeStats of noisy_samples, as the solver takes them."""
+    return [RangeStats.of(xs) for xs in noisy_samples(anchors, target, sigma, rng, rounds)]
 
 
 def cli_env() -> dict:

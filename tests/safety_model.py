@@ -20,10 +20,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from uwbpol.errors import ProtocolViolationError
-from uwbpol.geo import Position, distance
+from uwbpol.geo import Position, RangeStats, distance
 from uwbpol.ledger import ChannelEvent
 from uwbpol.pol import (
     LedgerEventIn,
@@ -62,7 +60,7 @@ ANCHORS = make_anchor_set(FIG4_ANCHOR_COORDS)
 UAV_CTX = UavContext("uav")
 PLATFORM_CTX = PlatformContext(ANCHORS, "a0", "uav", buffer=1.0)
 
-HONEST_MEASUREMENTS = tuple(np.array([distance(pos, TRUTH)]) for _, pos in ANCHORS.anchors)
+HONEST_MEASUREMENTS = tuple(RangeStats(1, distance(pos, TRUTH)) for _, pos in ANCHORS.anchors)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
 
 from uwbpol import geo, sim, uwb
 from uwbpol.cli import main as cli_main
 from uwbpol.errors import GeometryError, UnauthorizedError, ChaincodeError
-from uwbpol.geo import AnchorSet, Position
+from uwbpol.geo import AnchorSet, Position, RangeStats
 from uwbpol.ledger import (
     ASSET_CREATE,
     ASSET_DELETE,
@@ -128,20 +127,17 @@ def test_criterion_4_solver_oracle():
         target = Position(rng.uniform(0, 20), rng.uniform(0, 20))
         sigma = rng.uniform(0.0, 0.1)
 
-        exact = [np.array([geo.distance(pos, target)]) for _, pos in anchors.anchors]
+        exact = [RangeStats(1, geo.distance(pos, target)) for _, pos in anchors.anchors]
         est0 = geo.multilaterate(anchors, exact)
         assert est0.converged
         worst_recovery = max(worst_recovery, geo.distance(est0.position, target))
 
-        noisy = [
-            np.array([max(geo.distance(pos, target) + (rng.gauss(0, sigma) if sigma else 0.0),
-                          0.0)])
-            for _, pos in anchors.anchors
-        ]
-        est = geo.multilaterate(anchors, noisy)
+        noisy = [max(geo.distance(pos, target) + (rng.gauss(0, sigma) if sigma else 0.0), 0.0)
+                 for _, pos in anchors.anchors]
+        est = geo.multilaterate(anchors, [RangeStats(1, d) for d in noisy])
         assert est.converged
-        pts = np.array([[p.x, p.y] for _, p in anchors.anchors])
-        dists = np.concatenate(noisy)
+        pts = [[p.x, p.y] for _, p in anchors.anchors]
+        dists = noisy
         (gx, gy), _ = grid_argmin(pts, dists, (0, 20), (0, 20), step=0.01)
         worst_gap = max(worst_gap,
                         math.hypot(est.position.x - gx, est.position.y - gy))

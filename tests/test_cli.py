@@ -19,6 +19,16 @@ def run_main(args):
 
 
 class TestRunCommand:
+    def test_runs_without_numpy(self):
+        # numpy is a test dependency only: the package imports and runs a
+        # preset with every import of numpy refused.
+        code = ("import sys; sys.modules['numpy'] = None; import uwbpol; "
+                "from uwbpol import cli; sys.exit(cli.main(['run', '--preset', 'fig4']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=cli_env())
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "fig4: 2 attempts" in proc.stdout
+
     def test_preset_run_writes_expected_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = run_main(["run", "--preset", "fig4", "--seed", "7",

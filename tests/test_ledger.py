@@ -35,6 +35,7 @@ from uwbpol.ledger import (
     encode_asset_payload,
     replay_audit_log,
 )
+from uwbpol import sim
 from uwbpol.geo import Position
 from uwbpol.pol import (
     SESSION_ASSET_PREFIX,
@@ -44,6 +45,7 @@ from uwbpol.pol import (
     PolChaincode,
     PolRequest,
     Verdict,
+    claim_likelihood,
     encode_pol_request,
     encode_pol_verdict,
     standard_chaincodes,
@@ -240,6 +242,27 @@ class TestSubscriptions:
 
 
 class TestAuditReplay:
+    @pytest.mark.parametrize("field, rewrite", [
+        (0, lambda height: f"+{height} "),
+        (1, str.upper),
+        (5, lambda timestamp: "0_" + timestamp),
+    ], ids=["signed-padded-height", "upper-case-tx-id", "underscored-timestamp"])
+    def test_non_canonical_record_refused(self, field, rewrite, tmp_path):
+        # Each rewrite parses to the same record, but the log no longer reads
+        # as the ledger wrote it.
+        path = tmp_path / "audit.log"
+        sim.run(sim.get_preset("fig4")).ledger.write_audit_log(path)
+        assert replay_audit_log(path, chaincode_factory=standard_chaincodes).ok
+        lines = path.read_text(encoding="utf-8").splitlines()
+        parts = lines[-1].split("\t")
+        parts[field] = rewrite(parts[field])
+        lines[-1] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = replay_audit_log(path, chaincode_factory=standard_chaincodes)
+        assert not result.ok
+        assert result.records == len(lines) - 1
+        assert "non-canonical record" in result.message
+
     def _populate(self, lg, alice, pad):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
         lg.submit_transaction(alice, "pol", ASSET_UPDATE, encode_asset_payload("a", b"2"))
@@ -384,7 +407,7 @@ def _pol_request(uav, platform, session_id=b"s" * 16):
                                          b"u" * 16, b"p" * 16, claim))
 
 
-ACCEPTING_VERDICT = Verdict(True, 0.1, 0.05, 1.0, 0.9)
+ACCEPTING_VERDICT = Verdict(True, 0.1, 0.05, 1.0, claim_likelihood(0.1, 0.05))
 
 # Verdicts from the session's own platform whose numbers cannot describe a
 # real comparison: (accepted flag, (distance, error radius, buffer, likelihood)).
@@ -478,6 +501,21 @@ class TestReplayForgery:
                            encode_pol_verdict(b"s" * 16, ACCEPTING_VERDICT))
         result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
         _fails_at(result, rec, "not the platform")
+
+    @pytest.mark.parametrize("numbers", [
+        (0.9, 0.0, 1.0, 1.0),  # zero radius: the likelihood is 0 unless the distance is
+        (0.1, 0.05, 1.0, claim_likelihood(0.1, 0.05) + 1e-9),
+    ], ids=["zero-radius", "off-by-1e-9"])
+    def test_verdict_likelihood_off_its_numbers(self, pol_lg, alice, pad, numbers, tmp_path):
+        payload = encode_pol_verdict(b"s" * 16, Verdict(True, *numbers))
+        pol_lg.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
+        before = _heights(pol_lg)
+        with pytest.raises(ChaincodeError, match="likelihood"):
+            pol_lg.submit_transaction(pad, "pol", TX_POL_VERDICT, payload)
+        assert _heights(pol_lg) == before
+        rec = _next_record(pol_lg, pad, "pol", TX_POL_VERDICT, payload)
+        result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
+        _fails_at(result, rec, "likelihood")
 
     @pytest.mark.parametrize("case", sorted(IMPOSSIBLE_VERDICTS))
     def test_impossible_verdict_numbers(self, pol_lg, alice, pad, case, tmp_path):

@@ -3,7 +3,6 @@
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from uwbpol import geo, pol
@@ -14,7 +13,7 @@ from uwbpol.errors import (
     UnauthorizedError,
     ValidationUnavailableError,
 )
-from uwbpol.geo import EstimateResult, Position
+from uwbpol.geo import EstimateResult, Position, RangeStats
 from uwbpol.ledger import Ledger, Role
 from uwbpol.pol import (
     LedgerEventIn,
@@ -258,7 +257,7 @@ class TestPlatformMachine:
     def test_ranging_result_submits_consistent_verdict(self):
         anchors = PLATFORM_CTX.anchor_set
         target = Position(3.95, 2.705)
-        ranges = tuple(np.array([geo.distance(p, target)]) for _, p in anchors.anchors)
+        ranges = tuple(RangeStats(1, geo.distance(p, target)) for _, p in anchors.anchors)
         s, actions = platform_step(platform_session(SessionState.RANGING),
                                    RangingResultIn(True, ranges), PLATFORM_CTX)
         assert s.state is SessionState.VALIDATING
@@ -338,7 +337,8 @@ class TestPolChaincode:
 
     def test_verdict_must_reference_open_session(self):
         lg, _, pad = self._ledger()
-        payload = encode_pol_verdict(b"\x33" * 16, Verdict(True, 0.1, 0.05, 1.0, 0.9))
+        verdict = Verdict(True, 0.1, 0.05, 1.0, pol.claim_likelihood(0.1, 0.05))
+        payload = encode_pol_verdict(b"\x33" * 16, verdict)
         with pytest.raises(ChaincodeError):
             lg.submit_transaction(pad, "pol", "POL_VERDICT", payload)
 
@@ -355,7 +355,7 @@ class TestPolChaincode:
         lg, uav, pad = self._ledger()
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
         lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
-        ok = Verdict(True, 0.1, 0.05, 1.0, 0.9)
+        ok = Verdict(True, 0.1, 0.05, 1.0, pol.claim_likelihood(0.1, 0.05))
         lg.submit_transaction(pad, "pol", "POL_VERDICT", encode_pol_verdict(SID, ok))
         assert lg.query_asset("pol", "pol-session-" + SID.hex()).version == 2
         with pytest.raises(ChaincodeError):

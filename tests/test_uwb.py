@@ -15,7 +15,7 @@ from uwbpol.errors import (
     MalformedFrameError,
     RangingTimeout,
 )
-from uwbpol.geo import Position, distance, multilaterate
+from uwbpol.geo import Position, RangeStats, distance, multilaterate
 from uwbpol.uwb import ChannelModel, FrameType, RadioNode, RangingFrame
 
 from conftest import FIG4_ANCHOR_COORDS, make_anchor_set
@@ -226,7 +226,7 @@ class TestTransmit:
         state = ch.rng.getstate()
         frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A)
         received, delivered = uwb.transmit(ch, frame, a, b, sends=10)
-        assert received is None and not delivered.any()
+        assert received is None and not any(delivered)
         assert ch.rng.getstate() == state  # no loss is drawn
 
     def test_receiver_decodes_the_wire_bytes(self):
@@ -234,14 +234,14 @@ class TestTransmit:
         frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A, 77)
         received, delivered = uwb.transmit(ch, frame, a, b, sends=3)
         assert received == frame and received is not frame
-        assert delivered.tolist() == [True] * 3
+        assert delivered == [True] * 3
 
     def test_loss_rate(self):
         a, b, ch = make_pair(10.0, loss_prob=0.2, seed=4)
         frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A)
         _, delivered = uwb.transmit(ch, frame, a, b, sends=10_000)
         # Binomial: 3 standard errors of 0.8 over 10^4 sends is 0.012.
-        assert abs(delivered.mean() - 0.8) <= 0.012
+        assert abs(statistics.fmean(delivered) - 0.8) <= 0.012
 
 
 class TestMeasureTarget:
@@ -256,28 +256,29 @@ class TestMeasureTarget:
         anchors, target = self._array()
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
         ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5)
-        assert [len(r) for r in ranges] == [5] * len(anchors)
+        assert [r.count for r in ranges] == [5] * len(anchors)
 
     def test_forced_poll_loss_drops_one(self):
         anchors, target = self._array()
         # a0 sits 2.56 m from the target, beyond this range: its polls never arrive.
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, max_range=2.5, seed=3)
         ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5)
-        assert [len(r) for r in ranges] == [0, 5, 5, 5]
+        assert [r.count for r in ranges] == [0, 5, 5, 5]
 
     def test_noise_free_matches_euclidean(self):
         anchors, target = self._array()
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
         ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=3)
         for anchor, r in zip(anchors, ranges):
-            assert r == pytest.approx([distance(anchor.position, target.position)] * 3,
-                                      abs=1e-9)
+            assert r.count == 3
+            assert r.mean == pytest.approx(distance(anchor.position, target.position), abs=1e-9)
+            assert r.ssd == pytest.approx(0.0, abs=1e-18)
 
     def test_min_ranges_enforced(self):
         anchors, target = self._array()
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, max_range=2.2, seed=3)
         ranges = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5)
-        assert [len(r) for r in ranges] == [0, 5, 5, 0]
+        assert [r.count for r in ranges] == [0, 5, 5, 0]
         with pytest.raises(InsufficientRangesError):
             multilaterate(make_anchor_set(FIG4_ANCHOR_COORDS), ranges)
 
@@ -292,12 +293,12 @@ class TestMeasureTarget:
         ch = ChannelModel(noise_sigma=0.0, loss_prob=0.0, seed=3)
         silent = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5,
                                    responder_expects=b"Z" * 16)
-        assert [len(r) for r in silent] == [0] * 4
+        assert silent == [RangeStats(0)] * 4
         # The target stayed silent: every exchange waited out its timeout.
         assert ch.clock.now_ns == 4 * 5 * uwb.EXCHANGE_TIMEOUT_NS
         wrong = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=5,
                                   responder_replies=b"Z" * 16)
-        assert [len(r) for r in wrong] == [0] * 4
+        assert wrong == [RangeStats(0)] * 4
 
     def test_noise_free_sweep_equals_exchanges(self):
         # Same arithmetic on a lossless, noise-free channel: equal distances
@@ -311,8 +312,29 @@ class TestMeasureTarget:
             for acc, anchor in zip(scalar, anchors):
                 acc.append(uwb.ranging_exchange(anchor, target, scalar_ch, SID,
                                                 CODE_B, CODE_A)[0])
-        assert [r.tolist() for r in ranges] == scalar
+        assert ranges == [RangeStats.of(xs) for xs in scalar]
         assert sweep_ch.clock.now_ns == scalar_ch.clock.now_ns
+
+    def test_draw_order(self):
+        # Loss draws for every anchor first (its poll's rounds, then its
+        # response's), then one Gaussian per completed exchange, anchor by
+        # anchor: the sweep's stats are those of these draws.
+        anchors, target = self._array()
+        ch = ChannelModel(noise_sigma=0.05, loss_prob=0.2, seed=8)
+        stats = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=30)
+        rng = random.Random(8)
+        completed = []
+        for _ in anchors:
+            polled = [rng.random() >= 0.2 for _ in range(30)]
+            answered = [rng.random() >= 0.2 for _ in range(30)]
+            completed.append(sum(p and a for p, a in zip(polled, answered)))
+        for anchor, done, s in zip(anchors, completed, stats):
+            d = distance(anchor.position, target.position)
+            xs = [d + rng.gauss(0.0, 0.05) for _ in range(done)]
+            assert s.count == done
+            assert s.mean == pytest.approx(statistics.fmean(xs), abs=1e-9)
+            assert s.ssd == pytest.approx(done * statistics.pvariance(xs), rel=1e-6)
+        assert ch.rng.getstate() == rng.getstate()
 
     def test_matches_scalar_exchanges_at_fig4(self):
         # Fig. 4 geometry and channel: 10 sweeps of 200 rounds against the
@@ -326,7 +348,7 @@ class TestMeasureTarget:
         for _ in range(sweeps):
             for acc, r in zip(swept, uwb.ranging_sweep(anchors, target, sweep_ch, SID,
                                                        CODE_A, CODE_B, rounds=rounds)):
-                acc.extend(r.tolist())
+                acc.append(r)
         scalar_ch = ChannelModel(**channel, seed=202)
         scalar = [[] for _ in anchors]
         for _ in range(n):
@@ -336,14 +358,18 @@ class TestMeasureTarget:
                                                     CODE_B, CODE_A)[0])
                 except RangingTimeout:
                     pass
-        for xs, ys in zip(swept, scalar):
-            mean_se = (statistics.variance(xs) / len(xs)
-                       + statistics.variance(ys) / len(ys)) ** 0.5
-            assert abs(statistics.fmean(xs) - statistics.fmean(ys)) <= 3 * mean_se
-            std_se = (statistics.variance(xs) / (2 * (len(xs) - 1))
+        for parts, ys in zip(swept, scalar):
+            # Pool the sweeps' stats: the scatter about the overall mean is
+            # each sweep's own plus its count times its mean's offset, squared.
+            nx = sum(p.count for p in parts)
+            mean_x = sum(p.count * p.mean for p in parts) / nx
+            var_x = sum(p.ssd + p.count * (p.mean - mean_x) ** 2 for p in parts) / (nx - 1)
+            mean_se = (var_x / nx + statistics.variance(ys) / len(ys)) ** 0.5
+            assert abs(mean_x - statistics.fmean(ys)) <= 3 * mean_se
+            std_se = (var_x / (2 * (nx - 1))
                       + statistics.variance(ys) / (2 * (len(ys) - 1))) ** 0.5
-            assert abs(statistics.stdev(xs) - statistics.stdev(ys)) <= 3 * std_se
-            lost_x, lost_y = 1 - len(xs) / n, 1 - len(ys) / n
+            assert abs(var_x**0.5 - statistics.stdev(ys)) <= 3 * std_se
+            lost_x, lost_y = 1 - nx / n, 1 - len(ys) / n
             pooled = (lost_x + lost_y) / 2
             assert abs(lost_x - lost_y) <= 3 * (pooled * (1 - pooled) * 2 / n) ** 0.5
 
