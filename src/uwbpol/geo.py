@@ -244,14 +244,17 @@ def _linear_seed(rows, dimension: int) -> Optional[list[float]]:
 
 
 def _gauss_newton(p, rows):
-    """Plain Gauss-Newton from one start; returns (p, ssr, jac, iters, converged)."""
+    """Plain Gauss-Newton from one start; returns (p, ssr, jac, iters, converged).
+
+    Singular normal equations end the run as not converged.
+    """
     converged = False
     iterations = 0
     r, jac = _residuals_jacobian(p, rows)
     for iterations in range(1, GN_MAX_ITERATIONS + 1):
         jtj = _gram(jac)
         if _condition(jtj) > COND_LIMIT:
-            raise GeometryError("degenerate geometry: singular normal equations")
+            break
         step = _solve(jtj, [-math.fsum(c * u[k] * ri for (c, u), ri in zip(jac, r))
                             for k in range(len(p))])
         p = [pi + si for pi, si in zip(p, step)]
@@ -276,7 +279,9 @@ def multilaterate(anchors: AnchorSet, ranges: Sequence[RangeStats]) -> EstimateR
     closed-form linearized seed, and the converged fit with the lower SSR
     wins; the second start is what keeps the solver out of the mirror-image
     local minimum that plagues thin anchor geometries. Converged means the
-    step norm dropped below GN_STEP_TOL within GN_MAX_ITERATIONS.
+    step norm dropped below GN_STEP_TOL within GN_MAX_ITERATIONS, before
+    the normal equations got near-singular; when neither start converges,
+    the result says so (converged=False, error radius 0).
 
     The dimension is the anchor set's; AnchorSet checked it and the anchor
     geometry when it was built, so only the ranges are checked here.

@@ -626,7 +626,7 @@ def run_session(
                 frame = poll_tamper(frame)
             lg.clock.advance(1_000)  # air time
             other = "platform" if rt.key == "uav" else "uav"
-            received, _ = transmit(channel, frame, radios[rt.key], radios[other])
+            received = transmit(channel, frame, radios[rt.key], radios[other])
             if received is not None:
                 pending.append((other, UwbFrameIn(received)))
         elif isinstance(action, StartRanging):

@@ -4,15 +4,16 @@ Frames carry a 16-byte session id and a 16-byte authentication code; the
 responder stays silent unless the code embedded in the poll matches what it
 was told to expect, so ranging and identity check ride the same exchange.
 
-Every frame goes over the air through `transmit`, the one radio rule: a
-receiver beyond the channel's max_range hears nothing, each send is lost
-independently, and what arrives is what the receiver decodes from the
-frame's wire bytes. The handshake sends its frames one at a time;
-`ranging_sweep` sends each anchor's poll and the target's response once for
-all rounds, draws the per-round losses, then the range noise (plus a
-constant bias) of every completed exchange through `ChannelModel.round_trip`,
-and hands back one RangeStats per anchor. `ranging_exchange` is the scalar
-reference of a single sweep exchange.
+Every handshake frame goes over the air through `transmit`, the one radio
+rule: a receiver beyond the channel's max_range hears nothing, a send is
+otherwise lost with probability loss_prob, and what arrives is what the
+receiver decodes from the frame's wire bytes. `ranging_sweep` checks each
+anchor's range and codes once and returns one RangeStats per anchor. Where
+the clamp at distance 0 cannot act (noise_sigma > 0, distance + bias >= 8
+noise_sigma) it draws the statistics exactly: count ~ Binomial(rounds,
+(1 - loss_prob)^2), mean ~ N(distance + bias, noise_sigma^2 / count) and
+ssd ~ noise_sigma^2 chi^2(count - 1). Elsewhere it draws each exchange's
+round trip, as `ranging_exchange`, the scalar reference of one, does.
 """
 
 from __future__ import annotations
@@ -167,12 +168,27 @@ class ChannelModel:
         self.rng = random.Random(seed)
         self.clock = clock if clock is not None else SimClock()
 
-    def deliveries(self, sends: int) -> list[bool]:
-        """Which of `sends` independent sends survive the channel's loss."""
+    def delivers(self) -> bool:
+        """Whether one send survives the channel's loss (no draw when lossless)."""
+        return self.loss_prob == 0.0 or self.rng.random() >= self.loss_prob
+
+    def completed(self, rounds: int) -> int:
+        """How many of `rounds` exchanges lose neither their poll nor their response.
+
+        Binomial(rounds, (1 - loss_prob)^2), drawn by geometric skips from
+        one lost exchange to the next: one draw per loss, plus one.
+        """
         if self.loss_prob == 0.0:
-            return [True] * sends
-        draw = self.rng.random
-        return [draw() >= self.loss_prob for _ in range(sends)]
+            return rounds
+        log_kept = 2.0 * math.log1p(-self.loss_prob)
+        done = left = rounds
+        while True:
+            # Exchanges completed before the next lost one: floor(skip).
+            skip = math.log(1.0 - self.rng.random()) / log_kept
+            if skip >= left:
+                return done
+            left -= int(skip) + 1
+            done -= 1
 
     def round_trip(self, true_dist: float) -> float:
         """Initiator-timed round trip (ns) of one exchange over this distance.
@@ -200,22 +216,24 @@ class RadioNode:
         _check_id("node_id", self.node_id)
 
 
-def transmit(channel: ChannelModel, frame: RangingFrame, src: RadioNode, dst: RadioNode,
-             sends: int = 1) -> tuple[Optional[RangingFrame], list[bool]]:
-    """Send frame from src to dst `sends` times; the one rule for the air.
-
-    Range check, then loss, then the codec round trip: a receiver beyond
-    the channel's max_range hears no send, each send is otherwise lost
-    independently, and the receiver gets the frame decoded from its wire
-    bytes. Returns that frame (None when no send arrives) and the per-send
-    delivery mask.
-    """
+def _received(channel: ChannelModel, frame: RangingFrame, src: RadioNode,
+              dst: RadioNode) -> Optional[RangingFrame]:
+    """The frame dst decodes from src's wire bytes; None beyond max_range."""
     if distance(src.position, dst.position) > channel.max_range:
-        return None, [False] * sends
-    delivered = channel.deliveries(sends)
-    if not any(delivered):
-        return None, delivered
-    return decode_frame(encode_frame(frame)), delivered
+        return None
+    return decode_frame(encode_frame(frame))
+
+
+def transmit(channel: ChannelModel, frame: RangingFrame, src: RadioNode,
+             dst: RadioNode) -> Optional[RangingFrame]:
+    """Send frame from src to dst once; the one rule for the air.
+
+    A receiver beyond the channel's max_range hears nothing and no loss is
+    drawn; otherwise one loss draw decides whether the frame, decoded from
+    its wire bytes, arrives. Returns that frame, or None.
+    """
+    received = _received(channel, frame, src, dst)
+    return received if received is not None and channel.delivers() else None
 
 
 def ranging_exchange(
@@ -240,16 +258,16 @@ def ranging_exchange(
     responder_expects = code_to_send if responder_expects is None else responder_expects
     responder_replies = code_expected if responder_replies is None else responder_replies
 
-    poll, _ = transmit(channel, RangingFrame(FrameType.POLL, session_id, initiator.node_id,
-                                             responder.node_id, code_to_send),
-                       initiator, responder)
+    poll = transmit(channel, RangingFrame(FrameType.POLL, session_id, initiator.node_id,
+                                          responder.node_id, code_to_send),
+                    initiator, responder)
     if poll is None or poll.code != responder_expects:
         channel.clock.advance(EXCHANGE_TIMEOUT_NS)
         raise RangingTimeout("no response (poll lost, out of range, or code refused)")
-    response, _ = transmit(channel, RangingFrame(FrameType.RESPONSE, session_id,
-                                                 responder.node_id, initiator.node_id,
-                                                 responder_replies),
-                           responder, initiator)
+    response = transmit(channel, RangingFrame(FrameType.RESPONSE, session_id,
+                                              responder.node_id, initiator.node_id,
+                                              responder_replies),
+                        responder, initiator)
     if response is None:
         channel.clock.advance(EXCHANGE_TIMEOUT_NS)
         raise RangingTimeout("response lost")
@@ -273,44 +291,48 @@ def ranging_sweep(
 ) -> list[RangeStats]:
     """`rounds` exchanges between each anchor and the target, in bulk.
 
-    Each anchor's poll and the target's response go through `transmit`
-    once for all rounds, so the codes are checked once per anchor on the
-    decoded frames: the target stays silent to a poll with the wrong code,
-    and a response with the wrong code yields no distance. Losses are drawn
-    per round for every anchor first, then the range noise of every
-    completed exchange, anchor by anchor. The clock advances by the sum of
-    the times the same exchanges take in `ranging_exchange`. Returns, per
-    anchor in array order, the RangeStats of the distances it measured
-    (RangeStats(0) when none).
+    Per anchor, in array order, the range and the poll's code are checked
+    once: out of range or refused, the target stays silent, nothing is
+    drawn and every round times out. Otherwise the number of completed
+    rounds is drawn (`ChannelModel.completed`) and each lost round times
+    out. Where noise_sigma > 0 and distance + bias >= 8 noise_sigma, no
+    distance could be clamped at 0, so the statistics are drawn directly:
+    mean = max(gauss(distance + bias, noise_sigma / sqrt(count)), 0), then
+    ssd = noise_sigma^2 gammavariate((count - 1) / 2, 2) (0 below 2), and
+    the clock takes the exact sum of the round trips. Elsewhere each
+    exchange is drawn and timed as in `ranging_exchange`. Returns one
+    RangeStats per anchor; RangeStats(0) when no distance came back or the
+    response carried the wrong code (its exchanges still take their time).
     """
     if not anchor_array:
         raise ValueError("anchor_array must not be empty")
     responder_expects = code_to_send if responder_expects is None else responder_expects
     responder_replies = code_expected if responder_replies is None else responder_replies
+    sigma, rng = channel.noise_sigma, channel.rng
 
-    completed = []  # exchanges per anchor that got a response back
-    answered_right = []  # whether that response carried the expected code
-    for anchor in anchor_array:
-        poll, polled = transmit(channel, RangingFrame(FrameType.POLL, session_id, anchor.node_id,
-                                                      target.node_id, code_to_send),
-                                anchor, target, rounds)
-        done, right = 0, False
-        if poll is not None and poll.code == responder_expects:
-            response, answered = transmit(channel, RangingFrame(
-                FrameType.RESPONSE, session_id, target.node_id, anchor.node_id,
-                responder_replies), target, anchor, rounds)
-            done = sum(p and a for p, a in zip(polled, answered))
-            right = response is not None and response.code == code_expected
-        completed.append(done)
-        answered_right.append(right)
-
-    elapsed_ns = (len(anchor_array) * rounds - sum(completed)) * EXCHANGE_TIMEOUT_NS
+    elapsed_ns = 0.0
     stats = []
-    for anchor, done, right in zip(anchor_array, completed, answered_right):
+    for anchor in anchor_array:
+        done, right = 0, False
+        poll = _received(channel, RangingFrame(FrameType.POLL, session_id, anchor.node_id,
+                                               target.node_id, code_to_send), anchor, target)
+        if poll is not None and poll.code == responder_expects:
+            response = _received(channel, RangingFrame(FrameType.RESPONSE, session_id,
+                                                       target.node_id, anchor.node_id,
+                                                       responder_replies), target, anchor)
+            if response is not None:
+                done, right = channel.completed(rounds), response.code == code_expected
+        elapsed_ns += (rounds - done) * EXCHANGE_TIMEOUT_NS
         true_dist = distance(anchor.position, target.position)
-        t_rounds = [channel.round_trip(true_dist) for _ in range(done)]
-        elapsed_ns += sum([round(t + EXCHANGE_TAIL_NS) for t in t_rounds])
-        stats.append(RangeStats.of([twr_distance(t, _T_REPLY) for t in t_rounds]) if right
-                     else RangeStats(0))
+        if done and sigma and true_dist + channel.bias >= 8.0 * sigma:
+            mean = max(rng.gauss(true_dist + channel.bias, sigma / math.sqrt(done)), 0.0)
+            ssd = sigma * sigma * rng.gammavariate((done - 1) / 2, 2.0) if done > 1 else 0.0
+            elapsed_ns += done * (_T_REPLY + EXCHANGE_TAIL_NS + mean * 2e9 / SPEED_OF_LIGHT)
+            measured = RangeStats(done, mean, ssd)
+        else:
+            t_rounds = [channel.round_trip(true_dist) for _ in range(done)]
+            elapsed_ns += sum([round(t + EXCHANGE_TAIL_NS) for t in t_rounds])
+            measured = RangeStats.of([twr_distance(t, _T_REPLY) for t in t_rounds])
+        stats.append(measured if right else RangeStats(0))
     channel.clock.advance(elapsed_ns)
     return stats

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -384,6 +385,24 @@ class TestRangeStats:
                                           rel=1e-12, abs=1e-12)
 
 
+def random_geometries(rng):
+    """Endless (anchors, target, samples): 2D and 3D, 3 to 7 anchors and the
+    target in a 10 m box, noise up to 0.1 m, 1 or 200 rounds with 1% loss."""
+    while True:
+        dimension = rng.choice((2, 3))
+        try:
+            anchors = AnchorSet(
+                [(f"a{i}", Position(*[rng.uniform(0, 10) for _ in range(dimension)]))
+                 for i in range(rng.randint(dimension + 1, 7))], dimension)
+        except GeometryError:
+            continue
+        target = Position(*[rng.uniform(0, 10) for _ in range(dimension)])
+        sigma, rounds = rng.uniform(0, 0.1), rng.choice((1, 200))
+        yield anchors, target, [[max(geo.distance(pos, target) + rng.gauss(0, sigma), 0.0)
+                                 for _ in range(rounds) if rng.random() >= 0.01]
+                                for _, pos in anchors.anchors]
+
+
 class TestPooledEquivalence:
     """multilaterate against the pooled-row reference solver of _oracles.
 
@@ -413,27 +432,15 @@ class TestPooledEquivalence:
                                                     random.Random(seed), rounds))
 
     def test_random_geometries(self):
-        # 2D and 3D, 3 to 7 anchors and the target in a 10 m box, noise up to
-        # 0.1 m, 1 or 200 rounds with 1% loss. Set aside, and counted: cases
-        # where a start of the reference fails (does not converge, or meets
-        # singular normal equations). The two linear seeds differ by design
-        # (the reference's uses the first distance to the first anchor, this
-        # one its mean square), so there a failing start may fail differently.
-        rng = random.Random(6)
+        # Set aside, and counted: cases where a start of the reference fails
+        # (does not converge, or meets singular normal equations). The two
+        # linear seeds differ by design (the reference's uses the first
+        # distance to the first anchor, this one its mean square), so there a
+        # failing start may fail differently.
         compared = set_aside = 0
-        while compared < 1000:
-            dimension = rng.choice((2, 3))
-            try:
-                anchors = AnchorSet(
-                    [(f"a{i}", Position(*[rng.uniform(0, 10) for _ in range(dimension)]))
-                     for i in range(rng.randint(dimension + 1, 7))], dimension)
-            except GeometryError:
-                continue
-            target = Position(*[rng.uniform(0, 10) for _ in range(dimension)])
-            sigma, rounds = rng.uniform(0, 0.1), rng.choice((1, 200))
-            samples = [[max(geo.distance(pos, target) + rng.gauss(0, sigma), 0.0)
-                        for _ in range(rounds) if rng.random() >= 0.01]
-                       for _, pos in anchors.anchors]
+        for anchors, _, samples in random_geometries(random.Random(6)):
+            if compared == 1000:
+                break
             try:
                 starts_converge = all(fit[4] for fit in pooled_fits(anchors, samples))
             except InsufficientRangesError:
@@ -446,3 +453,13 @@ class TestPooledEquivalence:
             self.assert_same(anchors, samples)
             compared += 1
         assert set_aside <= 20
+
+    def test_one_failing_start_leaves_the_other(self):
+        # Case 175 of the generator with seed 3, 4 anchors in 3D: the
+        # centroid start diverges into singular normal equations, the linear
+        # seed converges near the truth.
+        anchors, target, samples = next(islice(random_geometries(random.Random(3)), 174, None))
+        assert anchors.dimension == 3 and len(anchors) == 4
+        est = geo.multilaterate(anchors, [RangeStats.of(xs) for xs in samples])
+        assert est.converged
+        assert geo.distance(est.position, target) < 0.05

@@ -427,6 +427,22 @@ class TestRunSession:
         assert {after for _, key, _, _, after, _ in out.trace if key == "platform"} == {
             "REQUESTED", "POLLING", "ABORTED"}
 
+    def test_singular_solve_aborts_validation_unavailable(self, monkeypatch):
+        # With every normal matrix over the condition limit, no start
+        # converges: the solve says so and the platform aborts, no traceback.
+        monkeypatch.setattr(geo, "COND_LIMIT", 0.5)
+        anchors = make_anchor_set(FIG4_ANCHOR_COORDS)
+        truth = Position(3.95, 2.705)
+        est = geo.multilaterate(anchors, [RangeStats(3, geo.distance(p, truth))
+                                          for _, p in anchors.anchors])
+        assert not est.converged and est.error_radius == 0.0
+        lg, channel, uav_party, platform_party, clock = session_world(truth=truth)
+        out = run_session(uav_party, platform_party, lg, channel,
+                          LocationClaim(truth, clock.now_ns), random.Random(1), buffer=1.0)
+        assert out.platform.state is SessionState.ABORTED
+        assert out.platform.abort_reason == "validation-unavailable"
+        assert out.platform.estimate is not None and not out.platform.estimate.converged
+
     def test_unenrolled_uav_never_requests(self):
         lg, channel, _, platform_party, clock = session_world()
         foreign = Ledger(seed=777).enroll_identity("intruder", Role.UAV)

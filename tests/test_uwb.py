@@ -1,5 +1,6 @@
 """Radio layer: frame codec, lossy channel, poll/response ranging."""
 
+import math
 import random
 import statistics
 
@@ -225,21 +226,19 @@ class TestTransmit:
         a, b, ch = make_pair(100.0, max_range=60.0, loss_prob=0.5)
         state = ch.rng.getstate()
         frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A)
-        received, delivered = uwb.transmit(ch, frame, a, b, sends=10)
-        assert received is None and not any(delivered)
+        assert [uwb.transmit(ch, frame, a, b) for _ in range(10)] == [None] * 10
         assert ch.rng.getstate() == state  # no loss is drawn
 
     def test_receiver_decodes_the_wire_bytes(self):
         a, b, ch = make_pair(10.0)
         frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A, 77)
-        received, delivered = uwb.transmit(ch, frame, a, b, sends=3)
+        received = uwb.transmit(ch, frame, a, b)
         assert received == frame and received is not frame
-        assert delivered == [True] * 3
 
     def test_loss_rate(self):
         a, b, ch = make_pair(10.0, loss_prob=0.2, seed=4)
         frame = RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_A)
-        _, delivered = uwb.transmit(ch, frame, a, b, sends=10_000)
+        delivered = [uwb.transmit(ch, frame, a, b) is not None for _ in range(10_000)]
         # Binomial: 3 standard errors of 0.8 over 10^4 sends is 0.012.
         assert abs(statistics.fmean(delivered) - 0.8) <= 0.012
 
@@ -316,25 +315,89 @@ class TestMeasureTarget:
         assert sweep_ch.clock.now_ns == scalar_ch.clock.now_ns
 
     def test_draw_order(self):
-        # Loss draws for every anchor first (its poll's rounds, then its
-        # response's), then one Gaussian per completed exchange, anchor by
-        # anchor: the sweep's stats are those of these draws.
+        # Per anchor: the geometric skips from one lost exchange to the
+        # next, then one Gaussian for the mean and one gamma variate for
+        # the scatter; the sweep's stats are those draws.
         anchors, target = self._array()
         ch = ChannelModel(noise_sigma=0.05, loss_prob=0.2, seed=8)
         stats = uwb.ranging_sweep(anchors, target, ch, SID, CODE_A, CODE_B, rounds=30)
         rng = random.Random(8)
-        completed = []
-        for _ in anchors:
-            polled = [rng.random() >= 0.2 for _ in range(30)]
-            answered = [rng.random() >= 0.2 for _ in range(30)]
-            completed.append(sum(p and a for p, a in zip(polled, answered)))
-        for anchor, done, s in zip(anchors, completed, stats):
+        log_kept = 2 * math.log1p(-0.2)
+        for anchor, s in zip(anchors, stats):
+            done = left = 30
+            while (skip := math.log(1.0 - rng.random()) / log_kept) < left:
+                left -= int(skip) + 1
+                done -= 1
             d = distance(anchor.position, target.position)
-            xs = [d + rng.gauss(0.0, 0.05) for _ in range(done)]
+            mean = rng.gauss(d, 0.05 / math.sqrt(done))
+            ssd = 0.05**2 * rng.gammavariate((done - 1) / 2, 2.0)
             assert s.count == done
-            assert s.mean == pytest.approx(statistics.fmean(xs), abs=1e-9)
-            assert s.ssd == pytest.approx(done * statistics.pvariance(xs), rel=1e-6)
+            assert s.mean == pytest.approx(mean, abs=1e-12)
+            assert s.ssd == pytest.approx(ssd, rel=1e-12)
         assert ch.rng.getstate() == rng.getstate()
+
+    def test_drawn_statistics_at_fig4(self):
+        # 2000 sweeps of 200 rounds at the Fig. 4 geometry and channel, each
+        # anchor far beyond 8 sigma. Every check is within 3 standard errors.
+        anchors, target = self._array()
+        rounds, sigma, loss = 200, 0.05, 0.01
+        ch = ChannelModel(noise_sigma=sigma, loss_prob=loss, seed=11)
+        dists = [distance(a.position, target.position) for a in anchors]
+        counts, z_mean, w_ssd, dof = [], [], [], []
+        for _ in range(2000):
+            for d, s in zip(dists, uwb.ranging_sweep(anchors, target, ch, SID,
+                                                     CODE_A, CODE_B, rounds)):
+                counts.append(s.count)
+                z_mean.append((s.mean - d) * math.sqrt(s.count) / sigma)
+                k = s.count - 1
+                w_ssd.append((s.ssd / sigma**2 - k) / math.sqrt(2 * k))
+                dof.append(k)
+        n = len(counts)
+        # count ~ Binomial(rounds, q): mean and variance (about the true mean).
+        q = (1 - loss) ** 2
+        mu, var = rounds * q, rounds * q * (1 - q)
+        mu4 = var * (1 + 3 * (rounds - 2) * q * (1 - q))
+        assert abs(statistics.fmean(counts) - mu) <= 3 * math.sqrt(var / n)
+        dev2 = [(c - mu) ** 2 for c in counts]
+        assert abs(statistics.fmean(dev2) - var) <= 3 * math.sqrt((mu4 - var**2) / n)
+        # (mean - d) / (sigma / sqrt(count)) ~ N(0, 1).
+        assert abs(statistics.fmean(z_mean)) <= 3 / math.sqrt(n)
+        assert abs(statistics.fmean(z * z for z in z_mean) - 1) <= 3 * math.sqrt(2 / n)
+        # ssd / sigma^2 ~ chi^2(k): mean k and variance 2k, standardized; the
+        # square of the standardized value has variance 2 + 12 / k.
+        assert abs(statistics.fmean(w_ssd)) <= 3 / math.sqrt(n)
+        w2_var = statistics.fmean(2 + 12 / k for k in dof)
+        assert abs(statistics.fmean(w * w for w in w_ssd) - 1) <= 3 * math.sqrt(w2_var / n)
+
+    def test_paths_agree_at_8_sigma(self):
+        # Just below d + bias = 8 sigma every exchange is drawn, just above
+        # the statistics are: the same mean and spread either way.
+        sigma, rounds, sweeps = 0.05, 200, 500
+        pooled = []
+        for offset, gauss_per_sweep in ((-1e-6, rounds), (1e-6, 1)):
+            a, b, ch = make_pair(8 * sigma - 0.01 + offset, noise_sigma=sigma, bias=0.01,
+                                 seed=21)
+            calls = []
+            gauss = ch.rng.gauss
+            ch.rng.gauss = lambda mu, sd: calls.append(1) or gauss(mu, sd)
+            parts = [uwb.ranging_sweep([a], b, ch, SID, CODE_A, CODE_B, rounds)[0]
+                     for _ in range(sweeps)]
+            assert len(calls) == sweeps * gauss_per_sweep
+            nx = sum(p.count for p in parts)
+            mean = sum(p.count * p.mean for p in parts) / nx
+            var = sum(p.ssd for p in parts) / (nx - sweeps)  # within-sweep scatter
+            pooled.append((nx, mean, var))
+        (n1, m1, v1), (n2, m2, v2) = pooled
+        assert abs(m1 - m2) <= 3 * sigma * math.sqrt(1 / n1 + 1 / n2)
+        assert abs(v1 - v2) <= 3 * sigma**2 * math.sqrt(2 / (n1 - sweeps) + 2 / (n2 - sweeps))
+
+    def test_clamp_near_an_anchor(self):
+        # 0.05 m from the anchor with sigma 0.1 the clamp at 0 acts, so every
+        # exchange is drawn, and the stats stay valid.
+        a, b, ch = make_pair(0.05, noise_sigma=0.1, seed=5)
+        for _ in range(50):
+            (s,) = uwb.ranging_sweep([a], b, ch, SID, CODE_A, CODE_B, rounds=200)
+            assert s.count == 200 and s.mean >= 0.0 and s.ssd >= 0.0
 
     def test_matches_scalar_exchanges_at_fig4(self):
         # Fig. 4 geometry and channel: 10 sweeps of 200 rounds against the
