@@ -3,13 +3,19 @@
 Distances come from single-sided two-way ranging (poll/response), positions
 from iterative least squares over ranges to fixed anchors, each anchor's
 distances summed up in one RangeStats. The normal equations are 2x2 or 3x3,
-so they are solved in closed form. Everything here is a pure function over
-immutable inputs.
+so the solver is straight-line code per dimension: one pass over the anchors
+builds J^T J and J^T r, each entry one exact math.fsum, and Cramer's rule,
+the eigenvalues for the condition check and the inverse's trace are written
+out in closed form. Every product and sum keeps a fixed order (J^T J is
+stored as computed, not forced symmetric), so a solve gives the same floats
+as the generic list-based solver in tests/_oracles.py. Everything here is a
+pure function over immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -88,10 +94,21 @@ def _det(m) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _solve(m, v) -> list[float]:
-    """Cramer's rule for a non-singular 2x2 or 3x3 m."""
-    return [_det([[v[i] if k == j else x for k, x in enumerate(row)] for i, row in enumerate(m)])
-            / _det(m) for j in range(len(m))]
+def _solve(m, v) -> tuple[float, ...]:
+    """Cramer's rule for a non-singular 2x2 or 3x3 m.
+
+    Each numerator is _det of m with column j replaced by v, written out.
+    """
+    det = _det(m)
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        v0, v1 = v
+        return (v0 * d - b * v1) / det, (a * v1 - v0 * c) / det
+    (a, b, c), (d, e, f), (g, h, i) = m
+    v0, v1, v2 = v
+    return ((v0 * (e * i - f * h) - b * (v1 * i - f * v2) + c * (v1 * h - e * v2)) / det,
+            (a * (v1 * i - f * v2) - v0 * (d * i - f * g) + c * (d * v2 - v1 * g)) / det,
+            (a * (e * v2 - v1 * h) - b * (d * v2 - v1 * g) + v0 * (d * h - e * g)) / det)
 
 
 def _eigenvalues(m) -> list[float]:
@@ -99,11 +116,13 @@ def _eigenvalues(m) -> list[float]:
     if len(m) == 2:
         mid, half = (m[0][0] + m[1][1]) / 2, math.hypot((m[0][0] - m[1][1]) / 2, m[0][1])
         return [mid - half, mid + half]
-    q = (m[0][0] + m[1][1] + m[2][2]) / 3
-    p = math.sqrt(sum((m[i][i] - q) ** 2 + 2 * m[i][i - 1] ** 2 for i in range(3)) / 6)
+    (a, b, c), (d, e, f), (g, h, i) = m
+    q = (a + e + i) / 3
+    p = math.sqrt(((a - q) ** 2 + 2 * c ** 2 + ((e - q) ** 2 + 2 * d ** 2)
+                   + ((i - q) ** 2 + 2 * h ** 2)) / 6)
     if p == 0:
         return [q, q, q]
-    shifted = [[(x - q * (i == j)) / p for j, x in enumerate(row)] for i, row in enumerate(m)]
+    shifted = ((a - q) / p, b / p, c / p), (d / p, (e - q) / p, f / p), (g / p, h / p, (i - q) / p)
     phi = math.acos(max(-1.0, min(1.0, _det(shifted) / 2))) / 3
     hi, lo = q + 2 * p * math.cos(phi), q + 2 * p * math.cos(phi + 2 * math.pi / 3)
     return [lo, 3 * q - hi - lo, hi]
@@ -114,10 +133,72 @@ def _condition(m) -> float:
     return hi / lo if lo > 0 else math.inf
 
 
-def _gram(rows) -> list[list[float]]:
-    """J^T J of the jacobian whose rows are count copies of u, over (count, u)."""
-    dim = range(len(rows[0][1]))
-    return [[math.fsum(c * u[i] * u[j] for c, u in rows) for j in dim] for i in dim]
+def _normal_2d(rows):
+    """J^T J and J^T r over rows (weight c, u_x, u_y, r), c copies of each row.
+
+    Entry (i, j) of J^T J is one exact sum of (c * u_i) * u_j, so (0, 1) and
+    (1, 0) may differ in the last bit.
+    """
+    terms = []
+    for c, ux, uy, r in rows:
+        cx, cy = c * ux, c * uy
+        terms.append((cx * ux, cx * uy, cy * ux, cy * uy, cx * r, cy * r))
+    xx, xy, yx, yy, xr, yr = map(math.fsum, zip(*terms))
+    return ((xx, xy), (yx, yy)), (xr, yr)
+
+
+def _normal_3d(rows):
+    """_normal_2d over rows (c, u_x, u_y, u_z, r)."""
+    terms = []
+    for c, ux, uy, uz, r in rows:
+        cx, cy, cz = c * ux, c * uy, c * uz
+        terms.append((cx * ux, cx * uy, cx * uz, cy * ux, cy * uy, cy * uz,
+                      cz * ux, cz * uy, cz * uz, cx * r, cy * r, cz * r))
+    xx, xy, xz, yx, yy, yz, zx, zy, zz, xr, yr, zr = map(math.fsum, zip(*terms))
+    return ((xx, xy, xz), (yx, yy, yz), (zx, zy, zz)), (xr, yr, zr)
+
+
+def _linearize_2d(p, rows):
+    """Per anchor (count, unit vector from the anchor to p, residual) at p."""
+    px, py = p
+    out = []
+    for (ax, ay), stats in rows:
+        dx, dy = px - ax, py - ay
+        norm = max(math.hypot(dx, dy), 1e-12)  # guard: estimate sitting exactly on an anchor
+        out.append((stats.count, dx / norm, dy / norm, norm - stats.mean))
+    return out
+
+
+def _linearize_3d(p, rows):
+    px, py, pz = p
+    out = []
+    for (ax, ay, az), stats in rows:
+        dx, dy, dz = px - ax, py - ay, pz - az
+        norm = max(math.hypot(dx, dy, dz), 1e-12)
+        out.append((stats.count, dx / norm, dy / norm, dz / norm, norm - stats.mean))
+    return out
+
+
+def _seed_eqs_2d(rows):
+    """The linear seed's equations, as rows (count, g_x, g_y, rhs) for _normal_2d."""
+    ((x0, y0), s0), *rest = rows
+    sq0, a0_sq = s0.mean**2 + s0.ssd / s0.count, x0 * x0 + y0 * y0
+    return [(s.count, 2.0 * (x - x0), 2.0 * (y - y0),
+             sq0 - (s.mean**2 + s.ssd / s.count) + (x * x + y * y) - a0_sq)
+            for (x, y), s in rest]
+
+
+def _seed_eqs_3d(rows):
+    ((x0, y0, z0), s0), *rest = rows
+    sq0, a0_sq = s0.mean**2 + s0.ssd / s0.count, x0 * x0 + y0 * y0 + z0 * z0
+    return [(s.count, 2.0 * (x - x0), 2.0 * (y - y0), 2.0 * (z - z0),
+             sq0 - (s.mean**2 + s.ssd / s.count) + (x * x + y * y + z * z) - a0_sq)
+            for (x, y, z), s in rest]
+
+
+# By dimension: (linearize, normal, seed_eqs).
+_CLOSED_FORMS = {2: (_linearize_2d, _normal_2d, _seed_eqs_2d),
+                 3: (_linearize_3d, _normal_3d, _seed_eqs_3d)}
 
 
 class AnchorSet:
@@ -145,7 +226,9 @@ class AnchorSet:
         # <= 1e-9. Its square is det(C^T C) over the other eigenvalues, with
         # the det summed from squared minors (Cauchy-Binet) to stay exact near 0.
         det = math.fsum(_det(minor) ** 2 for minor in combinations(centred, dimension))
-        if det <= 1e-18 * math.prod(_eigenvalues(_gram([(1, c) for c in centred]))[1:]):
+        _, normal, _ = _CLOSED_FORMS[dimension]
+        scatter, _ = normal([(1, *c, 0.0) for c in centred])  # C^T C
+        if det <= 1e-18 * math.prod(_eigenvalues(scatter)[1:]):
             kind = "collinear" if dimension == 2 else "coplanar"
             raise GeometryError(f"anchors must not be all {kind}")
         self.dimension = dimension
@@ -194,76 +277,65 @@ def twr_distance(t_round_ns: float, t_reply_ns: float, c: float = SPEED_OF_LIGHT
     return c * (t_round_ns - t_reply_ns) * 1e-9 / 2.0
 
 
-def error_radius(jacobian: Sequence[tuple[int, Sequence[float]]], ssr: float) -> float:
+_UNITS = {2: ((1.0, 0.0), (0.0, 1.0)), 3: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))}
+
+
+def error_radius(jtj, count: int, ssr: float) -> float:
     """Scalar 1-sigma error radius of a converged fit.
 
     Uses the parameter covariance of the linearized problem:
-    sqrt(trace(sigma_hat^2 * (J^T J)^-1)) with sigma_hat^2 = SSR/(n - dimension),
-    where the jacobian is n x dimension, given as (count, row) pairs.
+    sqrt(trace(sigma_hat^2 * (J^T J)^-1)) with sigma_hat^2 = SSR/(count - dimension),
+    where jtj is the 2x2 or 3x3 J^T J of count measurements.
     """
-    n, dimension = sum(c for c, _ in jacobian), len(jacobian[0][1])
-    if n <= dimension:
+    dimension = len(jtj)
+    if count <= dimension:
         raise InsufficientDofError(
-            f"error radius needs more than {dimension} measurements, got {n}"
+            f"error radius needs more than {dimension} measurements, got {count}"
         )
-    jtj = _gram(jacobian)
     if _condition(jtj) > COND_LIMIT:
         raise GeometryError("normal equations near-singular; error radius undefined")
-    sigma_sq = ssr / (n - dimension)
-    trace_inv = sum(_solve(jtj, [float(i == j) for i in range(dimension)])[j]
-                    for j in range(dimension))
+    sigma_sq = ssr / (count - dimension)
+    trace_inv = sum(_solve(jtj, unit)[j] for j, unit in enumerate(_UNITS[dimension]))
     return math.sqrt(max(sigma_sq, 0.0) * trace_inv)
 
 
-def _residuals_jacobian(p, rows):
-    r, jac = [], []
-    for a, stats in rows:
-        diff = [pi - ai for pi, ai in zip(p, a)]
-        norm = max(math.hypot(*diff), 1e-12)  # guard: estimate sitting exactly on an anchor
-        r.append(norm - stats.mean)
-        jac.append((stats.count, [d / norm for d in diff]))
-    return r, jac
-
-
-def _linear_seed(rows, dimension: int) -> Optional[list[float]]:
+def _linear_seed(rows, dimension: int) -> Optional[tuple[float, ...]]:
     """Closed-form linearized trilateration, used as a second solver start.
 
     Subtracting the first equation removes the quadratic term, leaving a
     linear system in p, with each anchor's mean square distance
     mean^2 + ssd/count. None when its normal equations are near-singular.
     """
-    (a0, _), squares = rows[0], [s.mean**2 + s.ssd / s.count for _, s in rows]
-    eqs = [(s.count, [2.0 * (x - x0) for x, x0 in zip(a, a0)],
-            squares[0] - sq + sum(x * x for x in a) - sum(x * x for x in a0))
-           for (a, s), sq in zip(rows[1:], squares[1:])]
-    normal = _gram([(c, g) for c, g, _ in eqs])
-    if _condition(normal) > COND_LIMIT:
+    _, normal, seed_eqs = _CLOSED_FORMS[dimension]
+    jtj, rhs = normal(seed_eqs(rows))
+    if _condition(jtj) > COND_LIMIT:
         return None
-    return _solve(normal, [math.fsum(c * g[k] * rhs for c, g, rhs in eqs)
-                           for k in range(dimension)])
+    return _solve(jtj, rhs)
 
 
 def _gauss_newton(p, rows):
-    """Plain Gauss-Newton from one start; returns (p, ssr, jac, iters, converged).
+    """Plain Gauss-Newton from one start; returns (p, ssr, jtj, iters, converged).
 
-    Singular normal equations end the run as not converged.
+    jtj is J^T J at the returned p. Singular normal equations end the run as
+    not converged.
     """
+    linearize, normal, _ = _CLOSED_FORMS[len(p)]
     converged = False
     iterations = 0
-    r, jac = _residuals_jacobian(p, rows)
+    lin = linearize(p, rows)
+    jtj, jtr = normal(lin)
     for iterations in range(1, GN_MAX_ITERATIONS + 1):
-        jtj = _gram(jac)
         if _condition(jtj) > COND_LIMIT:
             break
-        step = _solve(jtj, [-math.fsum(c * u[k] * ri for (c, u), ri in zip(jac, r))
-                            for k in range(len(p))])
-        p = [pi + si for pi, si in zip(p, step)]
-        r, jac = _residuals_jacobian(p, rows)
+        step = _solve(jtj, jtr)  # the Gauss-Newton step is its negation
+        p = list(map(operator.sub, p, step))
+        lin = linearize(p, rows)
+        jtj, jtr = normal(lin)
         if math.hypot(*step) < GN_STEP_TOL:
             converged = True
             break
-    ssr = math.fsum([c * ri * ri for (c, _), ri in zip(jac, r)] + [s.ssd for _, s in rows])
-    return p, ssr, jac, iterations, converged
+    ssr = math.fsum([t[0] * t[-1] * t[-1] for t in lin] + [s.ssd for _, s in rows])
+    return p, ssr, jtj, iterations, converged
 
 
 def multilaterate(anchors: AnchorSet, ranges: Sequence[RangeStats]) -> EstimateResult:
@@ -282,6 +354,10 @@ def multilaterate(anchors: AnchorSet, ranges: Sequence[RangeStats]) -> EstimateR
     step norm dropped below GN_STEP_TOL within GN_MAX_ITERATIONS, before
     the normal equations got near-singular; when neither start converges,
     the result says so (converged=False, error radius 0).
+
+    Each iteration costs one pass over the anchors plus the 2x2 or 3x3
+    closed forms, with no per-iteration work over generic lists; the
+    rounding is that of the generic solver the tests pin it to.
 
     The dimension is the anchor set's; AnchorSet checked it and the anchor
     geometry when it was built, so only the ranges are checked here.
@@ -302,11 +378,12 @@ def multilaterate(anchors: AnchorSet, ranges: Sequence[RangeStats]) -> EstimateR
     # Converged fits first, then the lower SSR; on a tie, the earlier start.
     fits = [_gauss_newton(start, rows)
             for start in (anchors._centre, _linear_seed(rows, dimension)) if start is not None]
-    p, ssr, jac, iterations, converged = min(fits, key=lambda fit: (not fit[4], fit[1]))
+    p, ssr, jtj, iterations, converged = min(fits, key=lambda fit: (not fit[4], fit[1]))
+    count = sum(stats.count for _, stats in rows)
     return EstimateResult(
         position=Position(*p),
-        residual_rms=math.sqrt(ssr / sum(stats.count for _, stats in rows)),
-        error_radius=error_radius(jac, ssr) if converged else 0.0,
+        residual_rms=math.sqrt(ssr / count),
+        error_radius=error_radius(jtj, count, ssr) if converged else 0.0,
         iterations=iterations,
         converged=converged,
     )

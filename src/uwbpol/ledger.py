@@ -403,15 +403,31 @@ class LedgerState:
         return height
 
 
-def _derive_signing_key(key_material: bytes, name: str) -> Ed25519PrivateKey:
-    seed = hashlib.sha256(key_material + b"|" + name.encode("utf-8")).digest()
-    return Ed25519PrivateKey.from_private_bytes(seed)
-
-
 def _raw_public_bytes(key: Ed25519PrivateKey) -> bytes:
     return key.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
+
+
+def issue_identity(seed: int, name: str, role: Role, valid_from: int,
+                   authority: Optional[Identity] = None) -> Identity:
+    """name's keypair and certificate as a ledger built with seed issues them.
+
+    The keypair derives from (seed, name) alone; no randomness is drawn.
+    The certificate is valid for CERT_VALIDITY_NS from valid_from and is
+    signed by authority, or by the new key itself when authority is None
+    (an authority's own certificate).
+    """
+    key_material = hashlib.sha256(
+        b"uwbpol-ledger-keys|" + int(seed).to_bytes(8, "big", signed=False)
+    ).digest()
+    key = Ed25519PrivateKey.from_private_bytes(
+        hashlib.sha256(key_material + b"|" + name.encode("utf-8")).digest())
+    public = _raw_public_bytes(key)
+    unsigned = Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS, b"")
+    issuer = key if authority is None else authority.signing_key
+    cert = replace(unsigned, issuer_signature=issuer.sign(unsigned.canonical_bytes()))
+    return Identity(name, role, public, cert, key)
 
 
 class Ledger:
@@ -424,31 +440,20 @@ class Ledger:
     def __init__(self, seed: int = 0, clock: Optional[SimClock] = None,
                  authority_name: str = "authority"):
         self.clock = clock if clock is not None else SimClock()
-        self._key_material = hashlib.sha256(
-            b"uwbpol-ledger-keys|" + int(seed).to_bytes(8, "big", signed=False)
-        ).digest()
+        self._seed = seed
         self._lock = threading.Lock()
         self._state = LedgerState(lambda: [AssetChaincode()])
         self._subscribers: dict[str, list[Subscription]] = {name: [] for name in CHANNEL_ROLES}
 
-        self._authority_key = _derive_signing_key(self._key_material, authority_name)
-        self.authority = self._issue(authority_name, Role.AUTHORITY, self._authority_key)
+        self.authority = issue_identity(seed, authority_name, Role.AUTHORITY, self.clock.now_ns)
         self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
                                 self.authority.certificate.encode())
 
     # -- identities --
 
-    def _issue(self, name: str, role: Role, key: Ed25519PrivateKey) -> Identity:
-        public = _raw_public_bytes(key)
-        valid_from = self.clock.now_ns
-        unsigned = Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS, b"")
-        cert = replace(unsigned,
-                       issuer_signature=self._authority_key.sign(unsigned.canonical_bytes()))
-        return Identity(name, role, public, cert, key)
-
     def enroll_identity(self, name: str, role: Role) -> Identity:
         """Create a keypair and authority-signed certificate for name and enroll it."""
-        identity = self._issue(name, role, _derive_signing_key(self._key_material, name))
+        identity = issue_identity(self._seed, name, role, self.clock.now_ns, self.authority)
         self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
                                 identity.certificate.encode())
         return identity
@@ -499,6 +504,10 @@ class Ledger:
         sub = Subscription(channel)
         self._subscribers[channel].append(sub)
         return sub
+
+    def unsubscribe(self, sub: Subscription) -> None:
+        """End a feed from subscribe: later commits are no longer queued on it."""
+        self._subscribers[sub.channel].remove(sub)
 
     # -- chaincode state --
 

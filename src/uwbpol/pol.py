@@ -661,30 +661,34 @@ def run_session(
                     if sid == rt.session.session_id:
                         pending.append((key, VerdictIn(sid, verdict)))
 
-    dispatch(platform_rt, Start())
-    dispatch(uav_rt, Start())
+    try:
+        dispatch(platform_rt, Start())
+        dispatch(uav_rt, Start())
 
-    for _ in range(100_000):  # hard stop; honest sessions take a few dozen steps
-        pump_ledger()
-        if pending:
-            key, event = pending.popleft()
-            dispatch(parties[key], event)
-            continue
-        if terminal(uav_rt) and terminal(platform_rt):
-            break
-        armed = [rt for rt in parties.values() if rt.deadline is not None and not terminal(rt)]
-        if not armed:
-            # One side finished (or never engaged) and the other has nothing
-            # to wait on: close it out.
-            for rt in parties.values():
-                if not terminal(rt):
-                    rt.session = _abort(rt.session, "stalled")
-            break
-        rt = min(armed, key=lambda r: (r.deadline, r.key))
-        lg.clock.advance(max(0, rt.deadline - lg.clock.now_ns))
-        rt.deadline = None
-        dispatch(rt, TimeoutIn())
-    else:
-        raise RuntimeError("session did not terminate")
+        for _ in range(100_000):  # hard stop; honest sessions take a few dozen steps
+            pump_ledger()
+            if pending:
+                key, event = pending.popleft()
+                dispatch(parties[key], event)
+                continue
+            if terminal(uav_rt) and terminal(platform_rt):
+                break
+            armed = [rt for rt in parties.values() if rt.deadline is not None and not terminal(rt)]
+            if not armed:
+                # One side finished (or never engaged) and the other has nothing
+                # to wait on: close it out.
+                for rt in parties.values():
+                    if not terminal(rt):
+                        rt.session = _abort(rt.session, "stalled")
+                break
+            rt = min(armed, key=lambda r: (r.deadline, r.key))
+            lg.clock.advance(max(0, rt.deadline - lg.clock.now_ns))
+            rt.deadline = None
+            dispatch(rt, TimeoutIn())
+        else:
+            raise RuntimeError("session did not terminate")
+    finally:
+        for sub in subs.values():
+            lg.unsubscribe(sub)
 
     return SessionOutcome(uav_rt.session, platform_rt.session, trace)

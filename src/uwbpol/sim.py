@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .clock import SimClock
 from .errors import FrameEncodingError, ScenarioError, UwbPolError
 from .geo import AnchorSet, EstimateResult, Position
-from .ledger import DEFAULT_CHANNEL, Ledger, Role
+from .ledger import DEFAULT_CHANNEL, Ledger, Role, issue_identity
 from .pol import (
     LocationClaim,
     PolChaincode,
@@ -371,9 +371,11 @@ def run(scenario: Scenario, seed_override: Optional[int] = None) -> RunReport:
                 claim_pos = Position(claim_pos.x + off.x, claim_pos.y + off.y,
                                      claim_pos.z + off.z)
             elif attack.kind == ATTACK_WRONG_IDENTITY:
-                # Certified by another ledger's authority, so never enrolled here.
-                identity = Ledger(seed=seed, authority_name="rogue-authority").enroll_identity(
-                    "rogue-uav", Role.UAV)
+                # Certified by another authority, so never enrolled here.
+                rogue_authority = issue_identity(seed, "rogue-authority", Role.AUTHORITY,
+                                                 clock.now_ns)
+                identity = issue_identity(seed, "rogue-uav", Role.UAV, clock.now_ns,
+                                          rogue_authority)
             elif attack.kind == ATTACK_CODE_REPLAY:
                 if last_session is not None:
                     stale_sid, stale_code = last_session

@@ -19,7 +19,14 @@ from uwbpol.errors import (
 )
 from uwbpol.geo import AnchorSet, Position, RangeStats
 
-from _oracles import grid_argmin, pooled_fits, pooled_multilaterate, ssr
+from _oracles import (
+    generic_fits,
+    generic_multilaterate,
+    grid_argmin,
+    pooled_fits,
+    pooled_multilaterate,
+    ssr,
+)
 from conftest import (
     FIG4_ANCHOR_COORDS,
     FIG5_ANCHOR_COORDS,
@@ -277,9 +284,23 @@ class TestErrorRadius:
         assert est.error_radius == pytest.approx(0.0, abs=1e-6)
 
     def test_undefined_dof(self):
-        jac = [(1, (1.0, 0.0)), (1, (0.0, 1.0))]  # two rows for two unknowns
+        jtj = ((1.0, 0.0), (0.0, 1.0))  # two measurements for two unknowns
         with pytest.raises(InsufficientDofError):
-            geo.error_radius(jac, 0.1)
+            geo.error_radius(jtj, 2, 0.1)
+
+    @pytest.mark.parametrize("jtj", [
+        ((1.0, 1.0), (1.0, 1.0)),
+        ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1e-13)),
+    ], ids=["2d", "3d"])
+    def test_near_singular_geometry(self, jtj):
+        with pytest.raises(GeometryError):
+            geo.error_radius(jtj, 10, 0.1)
+
+    def test_inverse_trace(self):
+        # J^T J = diag(4, 1) over 6 measurements with SSR 0.4: sigma^2 = 0.1
+        # and trace((J^T J)^-1) = 1.25.
+        assert geo.error_radius(((4.0, 0.0), (0.0, 1.0)), 6, 0.4) == pytest.approx(
+            math.sqrt(0.125), rel=1e-15)
 
     def test_geometry_ordering_fig4_vs_fig5(self, fig4_anchors, fig5_anchors):
         # Same noise level, 1000 seeds each: the distant thin layout must
@@ -463,3 +484,41 @@ class TestPooledEquivalence:
         est = geo.multilaterate(anchors, [RangeStats.of(xs) for xs in samples])
         assert est.converged
         assert geo.distance(est.position, target) < 0.05
+
+
+class TestGenericEquivalence:
+    """multilaterate against the generic per-anchor solver of _oracles.
+
+    The closed forms keep every sum and operation order of the generic
+    solver, so the two EstimateResults are equal, float for float.
+    """
+
+    @staticmethod
+    def solve(solver, anchors, ranges):
+        try:
+            return solver(anchors, ranges)
+        except InsufficientRangesError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("rounds", [1, 200])
+    @pytest.mark.parametrize("coords, target", [
+        (FIG4_ANCHOR_COORDS, Position(3.95, 2.705)),
+        (FIG5_ANCHOR_COORDS, Position(4.2, 12.745)),
+    ], ids=["fig4", "fig5"])
+    def test_presets(self, coords, target, rounds):
+        anchors = make_anchor_set(coords)
+        for seed in range(100):
+            ranges = noisy_ranges(anchors, target, 0.05, random.Random(seed), rounds)
+            assert geo.multilaterate(anchors, ranges) == generic_multilaterate(anchors, ranges)
+
+    def test_random_geometries(self):
+        # The first 1000 cases of the generator with seed 3, case 175 among
+        # them, failing starts and too few anchors with a distance included.
+        failing_starts = 0
+        for anchors, _, samples in islice(random_geometries(random.Random(3)), 1000):
+            ranges = [RangeStats.of(xs) for xs in samples]
+            expected = self.solve(generic_multilaterate, anchors, ranges)
+            assert self.solve(geo.multilaterate, anchors, ranges) == expected
+            if expected is not InsufficientRangesError:
+                failing_starts += sum(not fit[4] for fit in generic_fits(anchors, ranges))
+        assert failing_starts >= 5

@@ -33,6 +33,7 @@ from uwbpol.ledger import (
     Role,
     encode_asset_delete_payload,
     encode_asset_payload,
+    issue_identity,
     replay_audit_log,
 )
 from uwbpol import sim
@@ -107,6 +108,17 @@ class TestIdentity:
     def test_certificate_codec_roundtrip(self, alice):
         cert = alice.certificate
         assert Certificate.decode(cert.encode()) == cert
+
+    def test_ledger_issues_through_issue_identity(self):
+        # Ed25519 signatures are deterministic, so the same inputs give the
+        # same certificate.
+        lg = Ledger(seed=5)
+        now = lg.clock.now_ns
+        alice = lg.enroll_identity("alice", Role.UAV)
+        assert alice.certificate == issue_identity(5, "alice", Role.UAV, now,
+                                                   lg.authority).certificate
+        assert lg.authority.certificate == issue_identity(5, "authority", Role.AUTHORITY,
+                                                          0).certificate
 
 
 class TestSubmit:
@@ -239,6 +251,14 @@ class TestSubscriptions:
     def test_unknown_channel(self, lg):
         with pytest.raises(NoSuchChannelError):
             lg.subscribe("nope")
+
+    def test_unsubscribe_stops_delivery(self, lg, alice):
+        gone, kept = lg.subscribe("pol"), lg.subscribe("pol")
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
+        lg.unsubscribe(gone)
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("b", b"1"))
+        assert [e.height for e in gone.drain()] == [1]
+        assert [e.height for e in kept.drain()] == [1, 2]
 
 
 class TestAuditReplay:

@@ -443,6 +443,18 @@ class TestRunSession:
         assert out.platform.abort_reason == "validation-unavailable"
         assert out.platform.estimate is not None and not out.platform.estimate.converged
 
+    def test_session_unsubscribes_even_when_it_raises(self):
+        lg, channel, uav_party, platform_party, clock = session_world()
+
+        def tamper(frame):
+            raise RuntimeError("radio fault")
+
+        with pytest.raises(RuntimeError, match="radio fault"):
+            run_session(uav_party, platform_party, lg, channel,
+                        LocationClaim(Position(3.95, 2.705), clock.now_ns),
+                        random.Random(1), buffer=1.0, poll_tamper=tamper)
+        assert not any(lg._subscribers.values())
+
     def test_unenrolled_uav_never_requests(self):
         lg, channel, _, platform_party, clock = session_world()
         foreign = Ledger(seed=777).enroll_identity("intruder", Role.UAV)

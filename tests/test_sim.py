@@ -259,6 +259,26 @@ class TestRun:
         assert rec.estimate is None and rec.verdict is None
         assert report.records[1].terminal_state == "AUTHORIZED"
 
+    def test_wrong_identity_builds_no_second_ledger(self, monkeypatch):
+        built = []
+
+        class CountingLedger(sim.Ledger):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("authority_name", "authority"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "Ledger", CountingLedger)
+        sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_WRONG_IDENTITY, 1))
+        report = run(sc, seed_override=7)
+        assert built == ["authority"]
+        assert report.records[1].abort_reason == "unauthorized"
+
+    def test_no_subscription_outlives_its_session(self):
+        sc = get_preset("fig4")
+        report = run(replace(sc, attempts=sc.attempts * 25), seed_override=7)
+        assert len(report.records) == 50
+        assert not any(report.ledger._subscribers.values())
+
     def test_code_replay_aborts_without_ranging(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_CODE_REPLAY, 1))
         report = run(sc, seed_override=7)
