@@ -4,9 +4,16 @@ A single in-process ordering service with immediate finality stands in for a
 real blockchain network: certificate-based identities issued by a built-in
 authority, two fixed channels carrying totally ordered transactions
 (`_members`, open to the authority alone, and `pol`, open to every role),
-chaincode dispatched on commit, and an event feed per subscriber. Signing
-keys are derived deterministically from the ledger seed so that a run's
-audit log is reproducible byte for byte.
+chaincode dispatched on commit, and an event feed per subscriber.
+
+Signatures use the scheme of Hyperledger Fabric's membership service: ECDSA
+over P-256 with SHA-256. Public keys are 65-byte uncompressed X9.62 points,
+as in Fabric's X.509 certificates. Nonces come from RFC 6979, and signing
+keys derive from the ledger seed, so a run's audit log is reproducible byte
+for byte. A signature is stored as a fixed 64-byte r||s with s normalized to
+the low half of the group order. Verification refuses any other length and
+any high s, as Fabric's crypto provider does, so a committed signature has
+exactly one accepted encoding.
 
 Every admission decision is made in one place, LedgerState.commit: the live
 ledger commits through it, and audit replay re-commits each logged record
@@ -26,10 +33,11 @@ from enum import Enum
 from typing import Callable, Optional
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    decode_dss_signature,
+    encode_dss_signature,
 )
 
 from .clock import SimClock
@@ -53,6 +61,10 @@ ASSET_DELETE = "ASSET_DELETE"
 
 CERT_VALIDITY_NS = 365 * 24 * 3600 * 10**9  # one year of simulated time
 COMMIT_LATENCY_NS = 1_000_000  # 1 ms per ordered commit
+
+_CURVE = ec.SECP256R1()
+_ECDSA = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551  # of P-256
 
 
 class Role(str, Enum):
@@ -135,10 +147,16 @@ class Identity:
     role: Role
     public_key: bytes
     certificate: Certificate
-    signing_key: Ed25519PrivateKey = field(repr=False, compare=False)
+    signing_key: ec.EllipticCurvePrivateKey = field(repr=False, compare=False)
 
     def sign(self, data: bytes) -> bytes:
-        return self.signing_key.sign(data)
+        return _sign(self.signing_key, data)
+
+
+def _sign(key: ec.EllipticCurvePrivateKey, data: bytes) -> bytes:
+    """RFC 6979 ECDSA signature of data as 64 bytes r||s, with low s."""
+    r, s = decode_dss_signature(key.sign(data, _ECDSA))
+    return r.to_bytes(32, "big") + min(s, _ORDER - s).to_bytes(32, "big")
 
 
 # -- ledger records ------------------------------------------------------------
@@ -298,11 +316,28 @@ class _Channel:
         self.chaincodes = chaincodes
 
 
-def _verify(public_key: bytes, signature: bytes, data: bytes, what: str) -> None:
-    try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, data)
-    except (InvalidSignature, ValueError):
-        raise UnauthorizedError(f"{what} invalid") from None
+def _verify(key: ec.EllipticCurvePublicKey, signature: bytes, data: bytes, what: str) -> None:
+    """Refuse unless signature is a 64-byte low-s r||s over data under key."""
+    if len(signature) == 64:
+        r = int.from_bytes(signature[:32], "big")
+        s = int.from_bytes(signature[32:], "big")
+        if 0 < r < _ORDER and 0 < s <= _ORDER // 2:
+            try:
+                key.verify(encode_dss_signature(r, s), data, _ECDSA)
+                return
+            except InvalidSignature:
+                pass
+    raise UnauthorizedError(f"{what} invalid")
+
+
+def _public_key(encoded: bytes) -> ec.EllipticCurvePublicKey:
+    """The P-256 point of a 65-byte uncompressed X9.62 encoding."""
+    if len(encoded) == 65 and encoded[0] == 4:
+        try:
+            return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, encoded)
+        except ValueError:
+            pass
+    raise UnauthorizedError("enrolled public key is not an uncompressed P-256 point")
 
 
 def _check_log_field(what: str, text: str) -> None:
@@ -323,7 +358,9 @@ class LedgerState:
 
     def __init__(self, chaincode_factory: Callable[[], list]):
         self.registry: dict[str, Certificate] = {}
-        self.authority_public: Optional[bytes] = None
+        # Each registered certificate's key, parsed once when it is enrolled.
+        self.keys: dict[str, ec.EllipticCurvePublicKey] = {}
+        self.authority_key: Optional[ec.EllipticCurvePublicKey] = None
         # chaincode_factory gives the default channel's chaincode set; the
         # membership channel always runs the asset chaincode alone.
         self.channels = {
@@ -344,8 +381,9 @@ class LedgerState:
 
         Identity checks use the registered certificate, never one the
         submitter presents; the first ENROLL on the membership channel
-        bootstraps the self-signed authority. Any failure raises a
-        LedgerError and leaves the state untouched.
+        bootstraps the self-signed authority. An ENROLL's key is parsed
+        here, once, and must be an uncompressed P-256 point. Any failure
+        raises a LedgerError and leaves the state untouched.
         """
         _check_log_field("submitter", tx.submitter)
         _check_log_field("tx type", tx.tx_type)
@@ -360,6 +398,7 @@ class LedgerState:
             raise InvalidTransactionError("tx id mismatch")
 
         cert = self.registry.get(tx.submitter)
+        key = self.keys.get(tx.submitter)
         enrollee = None
         if tx.channel == MEMBERSHIP_CHANNEL and tx.tx_type == ENROLL_TX_TYPE:
             try:
@@ -369,10 +408,11 @@ class LedgerState:
             _check_log_field("enrolled subject", enrollee.subject)
             if enrollee.subject in self.registry:
                 raise AlreadyEnrolledError(f"{enrollee.subject!r} is already enrolled")
-            if self.authority_public is None:
+            enrollee_key = _public_key(enrollee.public_key)
+            if self.authority_key is None:
                 if enrollee.subject != tx.submitter or enrollee.role is not Role.AUTHORITY:
                     raise UnauthorizedError("first enrollment must be the self-signed authority")
-                cert = enrollee
+                cert, key = enrollee, enrollee_key
         if cert is None:
             raise UnauthorizedError(f"submitter {tx.submitter!r} not enrolled")
         if not cert.valid_from <= tx.timestamp <= cert.valid_to:
@@ -385,9 +425,9 @@ class LedgerState:
             )
         if self.journal and tx.timestamp < self.journal[-1][1].timestamp:
             raise InvalidTransactionError("timestamp earlier than the previous commit")
-        _verify(cert.public_key, tx.signature, tx.signed_bytes(), "transaction signature")
+        _verify(key, tx.signature, tx.signed_bytes(), "transaction signature")
         if enrollee is not None:
-            _verify(self.authority_public or enrollee.public_key,
+            _verify(self.authority_key or enrollee_key,
                     enrollee.issuer_signature, enrollee.canonical_bytes(),
                     "certificate signature")
 
@@ -396,17 +436,12 @@ class LedgerState:
                 cc.apply(ch.assets, tx)  # a LedgerError aborts the commit
         if enrollee is not None:
             self.registry[enrollee.subject] = enrollee
-            if self.authority_public is None:
-                self.authority_public = enrollee.public_key
+            self.keys[enrollee.subject] = enrollee_key
+            if self.authority_key is None:
+                self.authority_key = enrollee_key
         ch.log.append(tx)
         self.journal.append((height, tx))
         return height
-
-
-def _raw_public_bytes(key: Ed25519PrivateKey) -> bytes:
-    return key.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
 
 
 def issue_identity(seed: int, name: str, role: Role, valid_from: int,
@@ -421,12 +456,13 @@ def issue_identity(seed: int, name: str, role: Role, valid_from: int,
     key_material = hashlib.sha256(
         b"uwbpol-ledger-keys|" + int(seed).to_bytes(8, "big", signed=False)
     ).digest()
-    key = Ed25519PrivateKey.from_private_bytes(
-        hashlib.sha256(key_material + b"|" + name.encode("utf-8")).digest())
-    public = _raw_public_bytes(key)
+    digest = hashlib.sha256(key_material + b"|" + name.encode("utf-8")).digest()
+    key = ec.derive_private_key(int.from_bytes(digest, "big") % (_ORDER - 1) + 1, _CURVE)
+    public = key.public_key().public_bytes(
+        serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
     unsigned = Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS, b"")
     issuer = key if authority is None else authority.signing_key
-    cert = replace(unsigned, issuer_signature=issuer.sign(unsigned.canonical_bytes()))
+    cert = replace(unsigned, issuer_signature=_sign(issuer, unsigned.canonical_bytes()))
     return Identity(name, role, public, cert, key)
 
 

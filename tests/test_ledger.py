@@ -1,15 +1,20 @@
 """Ledger: identities, ordered transactions, chaincode, events, audit replay."""
 
 import base64
+import hashlib
 import math
 import random
 import struct
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
 
 from conftest import cli_env
 from uwbpol import ledger as led
@@ -110,8 +115,8 @@ class TestIdentity:
         assert Certificate.decode(cert.encode()) == cert
 
     def test_ledger_issues_through_issue_identity(self):
-        # Ed25519 signatures are deterministic, so the same inputs give the
-        # same certificate.
+        # Keys derive from (seed, name) and RFC 6979 makes ECDSA signatures
+        # deterministic, so the same inputs give the same certificate.
         lg = Ledger(seed=5)
         now = lg.clock.now_ns
         alice = lg.enroll_identity("alice", Role.UAV)
@@ -174,13 +179,13 @@ class TestSubmit:
     def test_signature_covers_payload(self, lg, alice):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
         tx = lg.transactions("pol")[0]
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-
-        key = Ed25519PublicKey.from_public_bytes(alice.public_key)
-        key.verify(tx.signature, tx.signed_bytes())  # does not raise
+        key = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), alice.public_key)
+        der = encode_dss_signature(int.from_bytes(tx.signature[:32], "big"),
+                                   int.from_bytes(tx.signature[32:], "big"))
+        key.verify(der, tx.signed_bytes(), ec.ECDSA(hashes.SHA256()))  # does not raise
         bad = replace(tx, payload=tx.payload + b"!")
-        with pytest.raises(Exception):
-            key.verify(bad.signature, bad.signed_bytes())
+        with pytest.raises(InvalidSignature):
+            key.verify(der, bad.signed_bytes(), ec.ECDSA(hashes.SHA256()))
 
 
 class TestAssetChaincode:
@@ -376,9 +381,9 @@ class TestDeterminism:
 
 # -- one commit path: live refusals and replay failures agree ---------------------
 
-def _signed_record(identity, channel, tx_type, payload, timestamp, height):
-    """An audit record signed by identity's own key, as its submission would be."""
-    tx = led.Transaction(
+def _signed_tx(identity, channel, tx_type, payload, timestamp, height):
+    """A transaction signed by identity's own key, as its submission would be."""
+    return led.Transaction(
         tx_id=led.compute_tx_id(channel, tx_type, payload, timestamp, height, identity.name),
         channel=channel,
         tx_type=tx_type,
@@ -388,7 +393,12 @@ def _signed_record(identity, channel, tx_type, payload, timestamp, height):
         signature=identity.sign(
             led.transaction_signed_bytes(channel, tx_type, payload, timestamp)),
     )
-    return led.format_audit_record(height, tx)
+
+
+def _signed_record(identity, channel, tx_type, payload, timestamp, height):
+    """The audit record of _signed_tx at height."""
+    return led.format_audit_record(
+        height, _signed_tx(identity, channel, tx_type, payload, timestamp, height))
 
 
 def _next_record(lg, identity, channel, tx_type, payload, timestamp=None):
@@ -452,7 +462,7 @@ class TestLiveForgery:
         _fails_at(_replay_with(lg, rec, path), rec, message)
 
     def test_genuine_certificate_with_foreign_key(self, lg, alice, tmp_path):
-        key = Ed25519PrivateKey.from_private_bytes(b"\x01" * 32)
+        key = ec.derive_private_key(1, ec.SECP256R1())
         self._refused(lg, replace(alice, signing_key=key), tmp_path / "a.log",
                       "transaction signature invalid")
 
@@ -595,6 +605,179 @@ class TestReplayForgery:
         assert "replay FAILED at height 2 on channel 'pol'" in proc.stderr
 
 
+# -- the signature scheme: deterministic low-s ECDSA P-256 / SHA-256 -------------
+
+P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
+class TestSignatureScheme:
+    def test_rfc6979_p256_sha256_sample(self, alice):
+        # RFC 6979 A.2.5: P-256, SHA-256, message "sample". The library's s
+        # is the high one, so the ledger stores n - s.
+        key = ec.derive_private_key(
+            0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721,
+            ec.SECP256R1())
+        assert key.public_key().public_bytes(
+            serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint
+        ) == bytes.fromhex(
+            "04"
+            "60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6"
+            "7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299")
+        r = 0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716
+        s = 0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8
+        assert s > P256_ORDER // 2
+        signature = replace(alice, signing_key=key).sign(b"sample")
+        assert signature == r.to_bytes(32, "big") + (P256_ORDER - s).to_bytes(32, "big")
+        led._verify(key.public_key(), signature, b"sample", "kat")  # does not raise
+        with pytest.raises(UnauthorizedError, match="kat invalid"):
+            led._verify(key.public_key(), r.to_bytes(32, "big") + s.to_bytes(32, "big"),
+                        b"sample", "kat")
+
+    def test_authority_certificate_bytes_pinned(self):
+        # A change in key derivation or in the library's deterministic nonces
+        # would silently change every audit log; this pin fails instead.
+        cert = issue_identity(0, "authority", Role.AUTHORITY, 0).certificate
+        assert len(cert.public_key) == 65 and len(cert.issuer_signature) == 64
+        assert hashlib.sha256(cert.encode()).hexdigest() == (
+            "1be05498009c4dfabbef10074c476c8f7c196a65c112c53a757abe17670a5e8d")
+
+
+def _split(signature):
+    return int.from_bytes(signature[:32], "big"), int.from_bytes(signature[32:], "big")
+
+
+def _join(r, s):
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
+
+
+def _high_s_twin(signature):
+    r, s = _split(signature)
+    return _join(r, P256_ORDER - s)
+
+
+HOSTILE_SIGNATURES = {
+    "high-s-twin": _high_s_twin,
+    "63-bytes": lambda sig: sig[:63],
+    "65-bytes": lambda sig: sig + b"\x00",
+    "r-zero": lambda sig: _join(0, _split(sig)[1]),
+    "s-zero": lambda sig: _join(_split(sig)[0], 0),
+    "r-is-n": lambda sig: _join(P256_ORDER, _split(sig)[1]),
+}
+
+
+def _state_of(lg):
+    state = lg._state
+    return (_heights(lg), len(state.journal), dict(state.registry), dict(state.keys),
+            {name: dict(ch.assets) for name, ch in state.channels.items()})
+
+
+def _authority_signed_certificate(lg, encoded):
+    """A certificate for "eve" that lg's authority signed over the key bytes encoded."""
+    now = lg.clock.now_ns
+    unsigned = Certificate("eve", Role.UAV, encoded, now, now + led.CERT_VALIDITY_NS, b"")
+    return replace(unsigned, issuer_signature=lg.authority.sign(unsigned.canonical_bytes()))
+
+
+HOSTILE_KEYS = {
+    "32-bytes": lambda key: key[1:33],
+    "off-curve": lambda key: key[:-1] + bytes([key[-1] ^ 1]),
+    "prefix-05": lambda key: b"\x05" + key[1:],
+    "hybrid-prefix": lambda key: bytes([6 + key[-1] % 2]) + key[1:],
+    "compressed": lambda key: bytes([2 + key[-1] % 2]) + key[1:33],
+}
+
+
+class TestHostileSignatures:
+    """Every encoding but a 64-byte low-s r||s is refused, live and in replay."""
+
+    @pytest.mark.parametrize("mutate", HOSTILE_SIGNATURES.values(), ids=HOSTILE_SIGNATURES)
+    def test_transaction_signature(self, lg, alice, mutate, tmp_path):
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
+        height = lg.height("pol") + 1
+        tx = _signed_tx(alice, "pol", ASSET_CREATE, encode_asset_payload("b", b"2"),
+                        lg.clock.now_ns, height)
+        hostile = replace(tx, signature=mutate(tx.signature))
+        before = _state_of(lg)
+        with pytest.raises(UnauthorizedError, match="transaction signature invalid"):
+            lg._state.commit(hostile)
+        assert _state_of(lg) == before
+        rec = led.format_audit_record(height, hostile)
+        _fails_at(_replay_with(lg, rec, tmp_path / "a.log"), rec,
+                  "transaction signature invalid")
+        assert lg._state.commit(tx) == height  # the genuine encoding is admitted
+
+    def test_high_s_twin_of_a_committed_record(self, lg, alice, tmp_path):
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
+        path = tmp_path / "a.log"
+        lg.write_audit_log(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        parts = lines[-1].split("\t")
+        parts[7] = base64.b64encode(_high_s_twin(base64.b64decode(parts[7]))).decode("ascii")
+        lines[-1] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _fails_at(replay_audit_log(path, chaincode_factory=asset_only), lines[-1],
+                  "transaction signature invalid")
+
+    @pytest.mark.parametrize("mutate", HOSTILE_SIGNATURES.values(), ids=HOSTILE_SIGNATURES)
+    def test_certificate_signature(self, lg, alice, mutate, tmp_path):
+        cert = _authority_signed_certificate(lg, alice.public_key)
+        cert = replace(cert, issuer_signature=mutate(cert.issuer_signature))
+        before = _state_of(lg)
+        with pytest.raises(UnauthorizedError, match="certificate signature invalid"):
+            lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                                  cert.encode())
+        assert _state_of(lg) == before
+        rec = _next_record(lg, lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                           cert.encode())
+        _fails_at(_replay_with(lg, rec, tmp_path / "a.log"), rec,
+                  "certificate signature invalid")
+
+
+class TestHostileKeys:
+    @pytest.mark.parametrize("mangle", HOSTILE_KEYS.values(), ids=HOSTILE_KEYS)
+    def test_enrollment_refused(self, lg, alice, mangle, tmp_path):
+        cert = _authority_signed_certificate(lg, mangle(alice.public_key))
+        before = _state_of(lg)
+        with pytest.raises(UnauthorizedError, match="public key"):
+            lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                                  cert.encode())
+        assert _state_of(lg) == before and "eve" not in lg._state.keys
+        rec = _next_record(lg, lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                           cert.encode())
+        _fails_at(_replay_with(lg, rec, tmp_path / "a.log"), rec, "public key")
+
+    def test_same_certificate_with_a_genuine_point_enrolls(self, lg, alice):
+        # The same builder with a genuine point enrolls, so the refusals
+        # above are about the key alone.
+        cert = _authority_signed_certificate(lg, alice.public_key)
+        lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                              cert.encode())
+        assert lg._state.registry["eve"] == cert
+
+    def test_ed25519_era_log_fails_replay_without_traceback(self, tmp_path):
+        # Height 1 of a log written while the ledger signed with Ed25519:
+        # a 32-byte authority key, self-signed.
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+        material = hashlib.sha256(b"uwbpol-ledger-keys|" + bytes(8)).digest()
+        key = Ed25519PrivateKey.from_private_bytes(
+            hashlib.sha256(material + b"|authority").digest())
+        public = key.public_key().public_bytes(serialization.Encoding.Raw,
+                                               serialization.PublicFormat.Raw)
+        unsigned = Certificate("authority", Role.AUTHORITY, public, 0,
+                               led.CERT_VALIDITY_NS, b"")
+        cert = replace(unsigned, issuer_signature=key.sign(unsigned.canonical_bytes()))
+        signer = SimpleNamespace(name="authority", sign=key.sign)
+        path = tmp_path / "ed25519.log"
+        path.write_text(_signed_record(signer, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                                       cert.encode(), 0, 1) + "\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "uwbpol", "replay", "--audit", str(path)],
+                              capture_output=True, text=True, timeout=120, env=cli_env())
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "replay FAILED at height 1" in proc.stderr
+
+
 class TestLiveReplayAgreement:
     def test_replay_accepts_exactly_what_live_accepts(self, tmp_path):
         rng = random.Random(5)
@@ -603,7 +786,7 @@ class TestLiveReplayAgreement:
         uav = lg.enroll_identity("uav", Role.UAV)
         pad = lg.enroll_identity("pad", Role.PLATFORM)
         foreign = Ledger(seed=78).enroll_identity("mallory", Role.UAV)
-        wrong_key = Ed25519PrivateKey.from_private_bytes(b"\x02" * 32)
+        wrong_key = ec.derive_private_key(2, ec.SECP256R1())
         submitters = [uav, uav, uav, pad, pad, pad, lg.authority, foreign,
                       replace(uav, signing_key=wrong_key),
                       replace(uav, name="pad"),
