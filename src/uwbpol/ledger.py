@@ -1,10 +1,11 @@
 """Simulated permissioned ledger.
 
-A single in-process ordering service with immediate finality stands in for a
-real blockchain network: certificate-based identities issued by a built-in
-authority, two fixed channels carrying totally ordered transactions
-(`_members`, open to the authority alone, and `pol`, open to every role),
-chaincode dispatched on commit, and an event feed per subscriber.
+A single in-process, single-threaded ordering service with immediate
+finality stands in for a real blockchain network: certificate-based
+identities issued by a built-in authority, two fixed channels carrying
+totally ordered transactions (`_members`, open to the authority alone, and
+`pol`, open to every role), chaincode dispatched on commit, and an event feed
+per subscriber.
 
 Signatures use the scheme of Hyperledger Fabric's membership service: ECDSA
 over P-256 with SHA-256. Public keys are 65-byte uncompressed X9.62 points,
@@ -26,7 +27,6 @@ import base64
 import binascii
 import hashlib
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -179,13 +179,9 @@ def transaction_signed_bytes(channel: str, tx_type: str, payload: bytes, timesta
     return lps(channel) + lps(tx_type) + lp(payload) + struct.pack(">Q", timestamp)
 
 
-def compute_tx_id(channel: str, tx_type: str, payload: bytes, timestamp: int,
-                  height: int, submitter: str) -> bytes:
-    digest = hashlib.sha256(
-        transaction_signed_bytes(channel, tx_type, payload, timestamp)
-        + struct.pack(">Q", height)
-        + lps(submitter)
-    )
+def compute_tx_id(signed: bytes, height: int, submitter: str) -> bytes:
+    """A transaction's id: SHA-256 of its signed bytes, height and submitter, cut to 16 bytes."""
+    digest = hashlib.sha256(signed + struct.pack(">Q", height) + lps(submitter))
     return digest.digest()[:16]
 
 
@@ -379,10 +375,13 @@ class LedgerState:
     def commit(self, tx: Transaction) -> int:
         """Admit tx at the next height of its channel and return that height.
 
-        Identity checks use the registered certificate, never one the
-        submitter presents; the first ENROLL on the membership channel
-        bootstraps the self-signed authority. An ENROLL's key is parsed
-        here, once, and must be an uncompressed P-256 point. Any failure
+        The signed bytes are built here, once, from tx's own fields; they
+        give both the tx id and the bytes the signature must cover. Identity
+        checks use the registered certificate, never one the submitter
+        presents; the first ENROLL on the membership channel bootstraps the
+        self-signed authority. An ENROLL's key is parsed here, once, and
+        must be an uncompressed P-256 point. Every other record needs a
+        chaincode on its channel that handles its tx type. Any failure
         raises a LedgerError and leaves the state untouched.
         """
         _check_log_field("submitter", tx.submitter)
@@ -390,8 +389,8 @@ class LedgerState:
         ch = self.channel(tx.channel)
         height = len(ch.log) + 1
         try:
-            tx_id = compute_tx_id(tx.channel, tx.tx_type, tx.payload, tx.timestamp,
-                                  height, tx.submitter)
+            signed = tx.signed_bytes()
+            tx_id = compute_tx_id(signed, height, tx.submitter)
         except (ValueError, struct.error) as exc:
             raise InvalidTransactionError(f"unencodable transaction: {exc}") from None
         if tx_id != tx.tx_id:
@@ -425,15 +424,18 @@ class LedgerState:
             )
         if self.journal and tx.timestamp < self.journal[-1][1].timestamp:
             raise InvalidTransactionError("timestamp earlier than the previous commit")
-        _verify(key, tx.signature, tx.signed_bytes(), "transaction signature")
+        _verify(key, tx.signature, signed, "transaction signature")
         if enrollee is not None:
             _verify(self.authority_key or enrollee_key,
                     enrollee.issuer_signature, enrollee.canonical_bytes(),
                     "certificate signature")
 
-        for cc in ch.chaincodes:
-            if cc.handles(tx.tx_type):
-                cc.apply(ch.assets, tx)  # a LedgerError aborts the commit
+        handlers = [cc for cc in ch.chaincodes if cc.handles(tx.tx_type)]
+        if not handlers and enrollee is None:
+            raise ChaincodeError(
+                f"no chaincode on channel {tx.channel!r} handles {tx.tx_type!r}")
+        for cc in handlers:
+            cc.apply(ch.assets, tx)  # a LedgerError aborts the commit
         if enrollee is not None:
             self.registry[enrollee.subject] = enrollee
             self.keys[enrollee.subject] = enrollee_key
@@ -470,14 +472,14 @@ class Ledger:
     """Ordering service, certificate authority, chaincode host and event hub.
 
     submit_transaction builds and signs a transaction; LedgerState.commit
-    alone decides whether it is admitted.
+    alone decides whether it is admitted. A ledger belongs to one thread:
+    nothing in it locks, so callers on other threads must not share it.
     """
 
     def __init__(self, seed: int = 0, clock: Optional[SimClock] = None,
                  authority_name: str = "authority"):
         self.clock = clock if clock is not None else SimClock()
         self._seed = seed
-        self._lock = threading.Lock()
         self._state = LedgerState(lambda: [AssetChaincode()])
         self._subscribers: dict[str, list[Subscription]] = {name: [] for name in CHANNEL_ROLES}
 
@@ -510,29 +512,28 @@ class Ledger:
     def submit_transaction(self, identity: Identity, channel: str, tx_type: str,
                            payload: bytes) -> Receipt:
         """Sign one transaction as identity, commit it, and fan out its event."""
-        with self._lock:
-            timestamp = self.clock.now_ns
-            height = self.height(channel) + 1
-            try:
-                signed = transaction_signed_bytes(channel, tx_type, payload, timestamp)
-                tx_id = compute_tx_id(channel, tx_type, payload, timestamp, height, identity.name)
-            except ValueError as exc:  # a field too long for its length prefix
-                raise InvalidTransactionError(f"unencodable transaction: {exc}") from None
-            tx = Transaction(
-                tx_id=tx_id,
-                channel=channel,
-                tx_type=tx_type,
-                payload=payload,
-                submitter=identity.name,
-                timestamp=timestamp,
-                signature=identity.sign(signed),
-            )
-            self._state.commit(tx)
-            self.clock.advance(COMMIT_LATENCY_NS)
-            event = ChannelEvent(channel, height, tx_type, payload, tx.tx_id)
-            for sub in self._subscribers[channel]:
-                sub._offer(event)
-            return Receipt(height, tx.tx_id)
+        timestamp = self.clock.now_ns
+        height = self.height(channel) + 1
+        try:
+            signed = transaction_signed_bytes(channel, tx_type, payload, timestamp)
+            tx_id = compute_tx_id(signed, height, identity.name)
+        except ValueError as exc:  # a field too long for its length prefix
+            raise InvalidTransactionError(f"unencodable transaction: {exc}") from None
+        tx = Transaction(
+            tx_id=tx_id,
+            channel=channel,
+            tx_type=tx_type,
+            payload=payload,
+            submitter=identity.name,
+            timestamp=timestamp,
+            signature=identity.sign(signed),
+        )
+        self._state.commit(tx)
+        self.clock.advance(COMMIT_LATENCY_NS)
+        event = ChannelEvent(channel, height, tx_type, payload, tx_id)
+        for sub in self._subscribers[channel]:
+            sub._offer(event)
+        return Receipt(height, tx_id)
 
     def subscribe(self, channel: str) -> Subscription:
         """New event feed starting at the channel's current height."""

@@ -31,7 +31,6 @@ from .geo import AnchorSet, EstimateResult, Position, RangeStats, distance, mult
 from .ledger import (
     Asset,
     AssetChaincode,
-    ChannelEvent,
     DEFAULT_CHANNEL,
     Identity,
     Ledger,
@@ -285,8 +284,10 @@ class Start:
 
 
 @dataclass(frozen=True)
-class LedgerEventIn:
-    event: ChannelEvent
+class RequestIn:
+    """A committed POL_REQUEST, decoded once by whoever read it off the ledger."""
+
+    request: PolRequest
 
 
 @dataclass(frozen=True)
@@ -401,12 +402,10 @@ def uav_step(session: PolSession, event, ctx: UavContext):
         return (_goto(session, SessionState.REQUESTED),
                 [SubmitTx(TX_POL_REQUEST, payload), SetTimer()])
 
-    if st == SessionState.REQUESTED and isinstance(event, LedgerEventIn):
-        if event.event.tx_type == TX_POL_REQUEST:
-            req = decode_pol_request(event.event.payload)
-            if req.session_id == session.session_id:
-                return _goto(session, SessionState.POLLING), [SetTimer()]
-        raise ProtocolViolationError(st, event)
+    if st == SessionState.REQUESTED and isinstance(event, RequestIn):
+        if event.request.session_id != session.session_id:
+            raise ProtocolViolationError(st, event)
+        return _goto(session, SessionState.POLLING), [SetTimer()]
 
     if st in (SessionState.POLLING, SessionState.RANGING) and isinstance(event, UwbFrameIn):
         frame = event.frame
@@ -450,10 +449,8 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
     if st == SessionState.INIT and isinstance(event, Start):
         return _goto(session, SessionState.REQUESTED), []
 
-    if st == SessionState.REQUESTED and isinstance(event, LedgerEventIn):
-        if event.event.tx_type != TX_POL_REQUEST:
-            raise ProtocolViolationError(st, event)
-        req = decode_pol_request(event.event.payload)
+    if st == SessionState.REQUESTED and isinstance(event, RequestIn):
+        req = event.request
         armed = replace(
             session,
             session_id=req.session_id,
@@ -581,10 +578,7 @@ def run_session(
         platform_party.identity,
     )
     parties = {"uav": uav_rt, "platform": platform_rt}
-    subs = {
-        "uav": lg.subscribe(DEFAULT_CHANNEL),
-        "platform": lg.subscribe(DEFAULT_CHANNEL),
-    }
+    sub = lg.subscribe(DEFAULT_CHANNEL)
     radios = {"uav": uav_party.node, "platform": platform_party.anchor_nodes[0]}
     pending: deque = deque()
     trace: list = []
@@ -644,22 +638,21 @@ def run_session(
                 pending.append(("platform", RangingResultIn(False)))
 
     def pump_ledger() -> None:
-        # Route committed events to whichever machine is expecting them;
-        # events for other sessions or states are simply not for us.
-        for key in ("uav", "platform"):
-            rt = parties[key]
-            for event in subs[key].drain():
-                if event.tx_type == TX_POL_REQUEST:
-                    if rt.session.state is not SessionState.REQUESTED:
-                        continue
-                    req = decode_pol_request(event.payload)
-                    if key == "uav" and req.session_id != rt.session.session_id:
-                        continue
-                    pending.append((key, LedgerEventIn(event)))
-                elif event.tx_type == TX_POL_VERDICT:
-                    sid, verdict = decode_pol_verdict(event.payload)
+        # Decode each committed record once and route it to whichever machine
+        # is expecting it; records for other sessions or states are not for us.
+        for event in sub.drain():
+            if event.tx_type == TX_POL_REQUEST:
+                req = decode_pol_request(event.payload)
+                for rt in (uav_rt, platform_rt):
+                    if rt.session.state is SessionState.REQUESTED and (
+                        rt is platform_rt or req.session_id == rt.session.session_id
+                    ):
+                        pending.append((rt.key, RequestIn(req)))
+            elif event.tx_type == TX_POL_VERDICT:
+                sid, verdict = decode_pol_verdict(event.payload)
+                for rt in (uav_rt, platform_rt):
                     if sid == rt.session.session_id:
-                        pending.append((key, VerdictIn(sid, verdict)))
+                        pending.append((rt.key, VerdictIn(sid, verdict)))
 
     try:
         dispatch(platform_rt, Start())
@@ -688,7 +681,6 @@ def run_session(
         else:
             raise RuntimeError("session did not terminate")
     finally:
-        for sub in subs.values():
-            lg.unsubscribe(sub)
+        lg.unsubscribe(sub)
 
     return SessionOutcome(uav_rt.session, platform_rt.session, trace)

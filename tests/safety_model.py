@@ -22,13 +22,12 @@ from typing import Optional
 
 from uwbpol.errors import ProtocolViolationError
 from uwbpol.geo import Position, RangeStats, distance
-from uwbpol.ledger import ChannelEvent
 from uwbpol.pol import (
-    LedgerEventIn,
     LocationClaim,
     PlatformContext,
     PolSession,
     RangingResultIn,
+    RequestIn,
     SendFrame,
     SessionState,
     Start,
@@ -39,6 +38,7 @@ from uwbpol.pol import (
     UwbFrameIn,
     Verdict,
     VerdictIn,
+    decode_pol_request,
     decode_pol_verdict,
     platform_step,
     uav_step,
@@ -149,9 +149,9 @@ def candidate_moves(world: World):
     if world.platform.state is SessionState.INIT:
         moves.append(("platform", Start()))
     if env.request_payload is not None:
-        event = ChannelEvent("pol", 1, "POL_REQUEST", env.request_payload, b"\x01" * 16)
-        moves.append(("uav", LedgerEventIn(event)))
-        moves.append(("platform", LedgerEventIn(event)))
+        request = RequestIn(decode_pol_request(env.request_payload))
+        moves.append(("uav", request))
+        moves.append(("platform", request))
     if env.poll_sent:
         moves.append(("uav", UwbFrameIn(_honest_poll())))  # incl. replays
     if env.response_sent:

@@ -2,10 +2,13 @@
 
 One op of each workload in bench/workloads.py runs through its own run and
 check, with the api namespace that bench/run.py builds, so a name the
-benchmark calls that the package no longer has fails here first.
+benchmark calls that the package no longer has fails here first. The same op
+also runs under the benchmark's tracer, as `bench/run.py --trace 1` runs it,
+so a rename that breaks a traced run or its per-layer metrics fails here too.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +17,18 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
+import layers  # noqa: E402
 import workloads  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+# bench/run.py computes these two from its own timings, not from the trace.
+RUN_TIMED = {"trace.ops_per_s", "trace.untraced_ops_per_s"}
+TRACED_COUNTS = {  # per-layer counts one traced op of the workload must move
+    "presets": ("geo.solves", "pol.steps"),
+    "attacks": ("geo.solves", "pol.steps"),
+    "ledger": ("ledger.submits",),
+}
 
 
 @pytest.fixture(scope="module")
@@ -30,3 +44,25 @@ def test_one_op_passes_its_checks(api, name, tmp_path):
     wl = workloads.WORKLOADS[name](api, tmp_path)
     op = next(wl.inputs(0))
     assert wl.check(op, wl.run(op), workloads.Stats()) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_op_matches_untraced(api, name, tmp_path):
+    wl = workloads.WORKLOADS[name](api, tmp_path)
+    op = next(wl.inputs(0))
+    untraced = wl.outcome(wl.run(op))
+    tracer = Tracer()
+    layers.observe(tracer, api)
+    tracer.instrument("uwbpol")
+    try:
+        tracer.begin_op(name, op.seed)
+        out = tracer.run_span("bench.op", wl.run, op)
+    finally:
+        tracer.restore()
+    stats = workloads.Stats()
+    assert wl.check(op, out, stats) == []
+    assert wl.outcome(out) == untraced
+    metrics = layers.per_layer(tracer, api, stats)
+    assert {m["name"] for m in SPEC["per_layer"]} - RUN_TIMED <= set(metrics)
+    for metric in TRACED_COUNTS[name]:
+        assert metrics[metric] > 0, metric

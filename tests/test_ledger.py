@@ -383,15 +383,15 @@ class TestDeterminism:
 
 def _signed_tx(identity, channel, tx_type, payload, timestamp, height):
     """A transaction signed by identity's own key, as its submission would be."""
+    signed = led.transaction_signed_bytes(channel, tx_type, payload, timestamp)
     return led.Transaction(
-        tx_id=led.compute_tx_id(channel, tx_type, payload, timestamp, height, identity.name),
+        tx_id=led.compute_tx_id(signed, height, identity.name),
         channel=channel,
         tx_type=tx_type,
         payload=payload,
         submitter=identity.name,
         timestamp=timestamp,
-        signature=identity.sign(
-            led.transaction_signed_bytes(channel, tx_type, payload, timestamp)),
+        signature=identity.sign(signed),
     )
 
 
@@ -449,6 +449,23 @@ IMPOSSIBLE_VERDICTS = {
 }
 
 
+# Signed records whose tx type nothing on their channel handles:
+# case -> (submitter, channel, tx type).
+UNHANDLED = {
+    "uav-anything-on-pol": ("uav", "pol", "ANYTHING"),
+    "uav-enroll-on-pol": ("uav", "pol", led.ENROLL_TX_TYPE),
+    "authority-verdict-on-members": ("authority", led.MEMBERSHIP_CHANNEL, TX_POL_VERDICT),
+}
+
+
+def _unhandled(lg, uav, case):
+    """(identity, channel, tx type, payload) of an UNHANDLED case on lg."""
+    who, channel, tx_type = UNHANDLED[case]
+    payload = {"ANYTHING": b"anything", led.ENROLL_TX_TYPE: uav.certificate.encode(),
+               TX_POL_VERDICT: encode_pol_verdict(b"s" * 16, ACCEPTING_VERDICT)}[tx_type]
+    return (uav if who == "uav" else lg.authority), channel, tx_type, payload
+
+
 class TestLiveForgery:
     """Submissions whose identity does not match the registry are refused."""
 
@@ -499,6 +516,17 @@ class TestLiveForgery:
     def test_request_for_another_uav(self, pol_lg, alice, pad):
         with pytest.raises(UnauthorizedError):
             pol_lg.submit_transaction(pad, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
+
+    @pytest.mark.parametrize("case", sorted(UNHANDLED))
+    def test_tx_type_no_chaincode_handles(self, pol_lg, alice, case):
+        def state():
+            return (_heights(pol_lg), pol_lg.clock.now_ns,
+                    {ch: pol_lg.assets_snapshot(ch) for ch in led.CHANNEL_ROLES})
+
+        before = state()
+        with pytest.raises(ChaincodeError, match="no chaincode on channel"):
+            pol_lg.submit_transaction(*_unhandled(pol_lg, alice, case))
+        assert state() == before
 
 
 class TestReplayForgery:
@@ -577,6 +605,12 @@ class TestReplayForgery:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "replay FAILED at height 1 on channel 'pol'" in proc.stderr
+
+    @pytest.mark.parametrize("case", sorted(UNHANDLED))
+    def test_tx_type_no_chaincode_handles(self, pol_lg, alice, case, tmp_path):
+        rec = _next_record(pol_lg, *_unhandled(pol_lg, alice, case))
+        result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
+        _fails_at(result, rec, "no chaincode on channel")
 
     def test_malformed_asset_payload(self, lg, alice, tmp_path):
         before = _heights(lg)

@@ -16,7 +16,6 @@ from uwbpol.errors import (
 from uwbpol.geo import EstimateResult, Position, RangeStats
 from uwbpol.ledger import Ledger, Role
 from uwbpol.pol import (
-    LedgerEventIn,
     LocationClaim,
     PlatformContext,
     PlatformParty,
@@ -24,6 +23,7 @@ from uwbpol.pol import (
     PolRequest,
     PolSession,
     RangingResultIn,
+    RequestIn,
     SendFrame,
     SessionState,
     SetTimer,
@@ -170,10 +170,7 @@ class TestUavMachine:
     def test_commit_event_moves_to_polling(self):
         s0, actions = uav_step(uav_session(), Start(), UAV_CTX)
         payload = next(a for a in actions if isinstance(a, SubmitTx)).payload
-        from uwbpol.ledger import ChannelEvent
-
-        event = ChannelEvent("pol", 1, "POL_REQUEST", payload, b"\x01" * 16)
-        s1, _ = uav_step(s0, LedgerEventIn(event), UAV_CTX)
+        s1, _ = uav_step(s0, RequestIn(decode_pol_request(payload)), UAV_CTX)
         assert s1.state is SessionState.POLLING
 
     def test_good_poll_triggers_response(self):
@@ -227,12 +224,9 @@ class TestUavMachine:
 class TestPlatformMachine:
     def test_request_event_sends_poll_with_platform_code(self):
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
-        from uwbpol.ledger import ChannelEvent
-
-        event = ChannelEvent("pol", 1, "POL_REQUEST", encode_pol_request(req), b"\x01" * 16)
         blank = PolSession("platform", b"\x00" * 16, "", "pad-1", b"\x00" * 16,
                            b"\x00" * 16, state=SessionState.REQUESTED)
-        s, actions = platform_step(blank, LedgerEventIn(event), PLATFORM_CTX)
+        s, actions = platform_step(blank, RequestIn(req), PLATFORM_CTX)
         assert s.state is SessionState.POLLING
         assert s.session_id == SID and s.code_uav == CODE_U
         assert s.claim == CLAIM

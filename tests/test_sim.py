@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from uwbpol import sim
+from uwbpol import ledger, pol, sim
 from uwbpol.errors import ScenarioError
 from uwbpol.geo import Position
 from uwbpol.sim import (
@@ -278,6 +278,41 @@ class TestRun:
         report = run(replace(sc, attempts=sc.attempts * 25), seed_override=7)
         assert len(report.records) == 50
         assert not any(report.ledger._subscribers.values())
+
+    def test_one_encode_and_one_decode_per_record(self, monkeypatch):
+        calls = {"build": 0, "request": 0, "verdict": 0, "subscribe": 0}
+        pol_subscribers = []  # subscriptions on `pol` at each submit there
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ledger, "transaction_signed_bytes",
+                            counted("build", ledger.transaction_signed_bytes))
+        monkeypatch.setattr(pol, "decode_pol_request",
+                            counted("request", pol.decode_pol_request))
+        monkeypatch.setattr(pol, "decode_pol_verdict",
+                            counted("verdict", pol.decode_pol_verdict))
+        monkeypatch.setattr(ledger.Ledger, "subscribe",
+                            counted("subscribe", ledger.Ledger.subscribe))
+        submit = ledger.Ledger.submit_transaction
+
+        def watched_submit(self, identity, channel, tx_type, payload):
+            if channel == ledger.DEFAULT_CHANNEL:
+                pol_subscribers.append(len(self._subscribers[channel]))
+            return submit(self, identity, channel, tx_type, payload)
+
+        monkeypatch.setattr(ledger.Ledger, "submit_transaction", watched_submit)
+        report = run(get_preset("fig4"), seed_override=7)
+        assert [r.terminal_state for r in report.records] == ["AUTHORIZED"] * 2
+        # 3 enrollments, then a request and a verdict per session; each record
+        # is built once on submit and once on commit, and each POL record is
+        # decoded once by its chaincode and once for the session's machines.
+        assert len(report.ledger._state.journal) == 7
+        assert calls == {"build": 14, "request": 4, "verdict": 4, "subscribe": 2}
+        assert pol_subscribers == [1, 1, 1, 1]
 
     def test_code_replay_aborts_without_ranging(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_CODE_REPLAY, 1))
