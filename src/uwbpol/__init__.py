@@ -1,7 +1,7 @@
 """UWB proof-of-location simulator.
 
 Ranging over a simulated UWB channel, position estimation by least-squares
-multilateration, a simulated permissioned ledger for identities and events,
+multilateration, a simulated permissioned ledger for identities and records,
 and the landing-authorization handshake that validates a UAV's broadcast
 position against the radio-derived estimate.
 """
@@ -22,7 +22,6 @@ from .geo import (
 from .ledger import (
     Asset,
     Certificate,
-    ChannelEvent,
     Identity,
     Ledger,
     Role,

@@ -204,8 +204,8 @@ _CLOSED_FORMS = {2: (_linearize_2d, _normal_2d, _seed_eqs_2d),
 class AnchorSet:
     """Ordered set of named anchor positions with validated geometry.
 
-    Requires at least dimension+1 anchors, unique ids, and anchors that are
-    not all collinear (2D) / coplanar (3D).
+    Requires at least dimension+1 anchors, unique ids, z = 0 in 2D, and
+    anchors that are not all collinear (2D) / coplanar (3D).
     """
 
     def __init__(self, anchors: Sequence[tuple[str, Position]], dimension: int = 2):
@@ -219,6 +219,9 @@ class AnchorSet:
             raise GeometryError(
                 f"need at least {dimension + 1} anchors for {dimension}D, got {len(anchors)}"
             )
+        for i, (_, p) in enumerate(anchors):
+            if dimension == 2 and p.z != 0.0:
+                raise GeometryError(f"anchors[{i}].z: must be 0 in 2D, got {p.z!r}")
         pts = tuple((p.x, p.y, p.z)[:dimension] for _, p in anchors)
         centre = [sum(c) / len(pts) for c in zip(*pts)]
         centred = [[v - m for v, m in zip(p, centre)] for p in pts]

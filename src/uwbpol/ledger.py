@@ -4,8 +4,9 @@ A single in-process, single-threaded ordering service with immediate
 finality stands in for a real blockchain network: certificate-based
 identities issued by a built-in authority, two fixed channels carrying
 totally ordered transactions (`_members`, open to the authority alone, and
-`pol`, open to every role), chaincode dispatched on commit, and an event feed
-per subscriber.
+`pol`, open to every role) and chaincode dispatched on commit. As with
+Fabric's deliver service, the ledger keeps no queue per client: a client
+reads a channel's committed records from a height that it tracks itself.
 
 Signatures use the scheme of Hyperledger Fabric's membership service: ECDSA
 over P-256 with SHA-256. Public keys are 65-byte uncompressed X9.62 points,
@@ -27,7 +28,6 @@ import base64
 import binascii
 import hashlib
 import struct
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -186,15 +186,6 @@ def compute_tx_id(signed: bytes, height: int, submitter: str) -> bytes:
 
 
 @dataclass(frozen=True)
-class ChannelEvent:
-    channel: str
-    height: int
-    tx_type: str
-    payload: bytes
-    tx_id: bytes
-
-
-@dataclass(frozen=True)
 class Asset:
     asset_id: str
     data: bytes
@@ -206,22 +197,6 @@ class Asset:
 class Receipt:
     height: int
     tx_id: bytes
-
-
-class Subscription:
-    """In-order, exactly-once feed of committed events for one subscriber."""
-
-    def __init__(self, channel: str):
-        self.channel = channel
-        self._queue: deque[ChannelEvent] = deque()
-
-    def _offer(self, event: ChannelEvent) -> None:
-        self._queue.append(event)
-
-    def drain(self) -> list[ChannelEvent]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
 
 
 # -- chaincode -----------------------------------------------------------------
@@ -305,8 +280,7 @@ CHANNEL_ROLES: dict[str, frozenset[Role]] = {
 
 
 class _Channel:
-    def __init__(self, roles: frozenset[Role], chaincodes: list):
-        self.roles = roles
+    def __init__(self, chaincodes: list):
         self.log: list[Transaction] = []
         self.assets: dict[str, Asset] = {}
         self.chaincodes = chaincodes
@@ -360,9 +334,9 @@ class LedgerState:
         # chaincode_factory gives the default channel's chaincode set; the
         # membership channel always runs the asset chaincode alone.
         self.channels = {
-            name: _Channel(roles, chaincode_factory() if name == DEFAULT_CHANNEL
+            name: _Channel(chaincode_factory() if name == DEFAULT_CHANNEL
                            else [AssetChaincode()])
-            for name, roles in CHANNEL_ROLES.items()
+            for name in CHANNEL_ROLES
         }
         self.journal: list[tuple[int, Transaction]] = []  # (height, tx) in commit order
 
@@ -418,7 +392,7 @@ class LedgerState:
             raise UnauthorizedError(
                 f"certificate of {tx.submitter!r} not valid at {tx.timestamp}"
             )
-        if cert.role not in ch.roles:
+        if cert.role not in CHANNEL_ROLES[tx.channel]:
             raise UnauthorizedError(
                 f"role {cert.role.value} not admitted to channel {tx.channel!r}"
             )
@@ -469,21 +443,20 @@ def issue_identity(seed: int, name: str, role: Role, valid_from: int,
 
 
 class Ledger:
-    """Ordering service, certificate authority, chaincode host and event hub.
+    """Ordering service, certificate authority and chaincode host.
 
     submit_transaction builds and signs a transaction; LedgerState.commit
-    alone decides whether it is admitted. A ledger belongs to one thread:
-    nothing in it locks, so callers on other threads must not share it.
+    alone decides whether it is admitted. Clients read committed records by
+    height through transactions(). A ledger belongs to one thread: nothing
+    in it locks, so callers on other threads must not share it.
     """
 
-    def __init__(self, seed: int = 0, clock: Optional[SimClock] = None,
-                 authority_name: str = "authority"):
+    def __init__(self, seed: int = 0, clock: Optional[SimClock] = None):
         self.clock = clock if clock is not None else SimClock()
         self._seed = seed
         self._state = LedgerState(lambda: [AssetChaincode()])
-        self._subscribers: dict[str, list[Subscription]] = {name: [] for name in CHANNEL_ROLES}
 
-        self.authority = issue_identity(seed, authority_name, Role.AUTHORITY, self.clock.now_ns)
+        self.authority = issue_identity(seed, "authority", Role.AUTHORITY, self.clock.now_ns)
         self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
                                 self.authority.certificate.encode())
 
@@ -504,20 +477,24 @@ class Ledger:
     def height(self, channel: str) -> int:
         return len(self._state.channel(channel).log)
 
-    def transactions(self, channel: str) -> tuple[Transaction, ...]:
-        return tuple(self._state.channel(channel).log)
+    def transactions(self, channel: str, start: int = 0) -> tuple[Transaction, ...]:
+        """The channel's committed records above height start, in commit order."""
+        log = self._state.channel(channel).log
+        if not 0 <= start <= len(log):
+            raise ValueError(f"start {start!r} is outside [0, {len(log)}] on channel {channel!r}")
+        return tuple(log[start:])
 
     # -- transactions --
 
     def submit_transaction(self, identity: Identity, channel: str, tx_type: str,
                            payload: bytes) -> Receipt:
-        """Sign one transaction as identity, commit it, and fan out its event."""
+        """Sign one transaction as identity and commit it."""
         timestamp = self.clock.now_ns
         height = self.height(channel) + 1
         try:
             signed = transaction_signed_bytes(channel, tx_type, payload, timestamp)
             tx_id = compute_tx_id(signed, height, identity.name)
-        except ValueError as exc:  # a field too long for its length prefix
+        except (ValueError, struct.error) as exc:  # a field too long, a clock past 2^64 ns
             raise InvalidTransactionError(f"unencodable transaction: {exc}") from None
         tx = Transaction(
             tx_id=tx_id,
@@ -530,21 +507,7 @@ class Ledger:
         )
         self._state.commit(tx)
         self.clock.advance(COMMIT_LATENCY_NS)
-        event = ChannelEvent(channel, height, tx_type, payload, tx_id)
-        for sub in self._subscribers[channel]:
-            sub._offer(event)
         return Receipt(height, tx_id)
-
-    def subscribe(self, channel: str) -> Subscription:
-        """New event feed starting at the channel's current height."""
-        self._state.channel(channel)
-        sub = Subscription(channel)
-        self._subscribers[channel].append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        """End a feed from subscribe: later commits are no longer queued on it."""
-        self._subscribers[sub.channel].remove(sub)
 
     # -- chaincode state --
 

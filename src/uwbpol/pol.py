@@ -5,8 +5,9 @@ platform ranges it over UWB using session codes pre-shared through the
 ledger, estimates its position by multilateration from the per-anchor range
 statistics of one ranging sweep, and commits a verdict
 comparing claim and estimate against an error buffer. Both sides run as
-pure state machines fed by ledger events, radio frames, and timers; the
-orchestrator in run_session wires them to a concrete ledger and channel.
+pure state machines fed by committed ledger records, radio frames, and
+timers; the orchestrator in run_session wires them to a concrete ledger and
+channel.
 """
 
 from __future__ import annotations
@@ -555,6 +556,9 @@ def run_session(
     platform as they are. poll_tamper, when given, rewrites every
     platform poll frame before it goes on the air (used to model replay
     attacks on the radio path).
+
+    The session reads the ledger's `pol` records by height, from the height
+    at its start, so it sees only records committed after it starts.
     """
     session_id = new_session_id(session_rng)
     code_uav, code_platform = generate_codes(session_rng)
@@ -578,7 +582,7 @@ def run_session(
         platform_party.identity,
     )
     parties = {"uav": uav_rt, "platform": platform_rt}
-    sub = lg.subscribe(DEFAULT_CHANNEL)
+    read_height = lg.height(DEFAULT_CHANNEL)
     radios = {"uav": uav_party.node, "platform": platform_party.anchor_nodes[0]}
     pending: deque = deque()
     trace: list = []
@@ -638,49 +642,50 @@ def run_session(
                 pending.append(("platform", RangingResultIn(False)))
 
     def pump_ledger() -> None:
-        # Decode each committed record once and route it to whichever machine
-        # is expecting it; records for other sessions or states are not for us.
-        for event in sub.drain():
-            if event.tx_type == TX_POL_REQUEST:
-                req = decode_pol_request(event.payload)
+        # Read what was committed since the last read, decode each record once
+        # and route it to whichever machine is expecting it; records for other
+        # sessions or states are not for us.
+        nonlocal read_height
+        txs = lg.transactions(DEFAULT_CHANNEL, read_height)
+        read_height += len(txs)
+        for tx in txs:
+            if tx.tx_type == TX_POL_REQUEST:
+                req = decode_pol_request(tx.payload)
                 for rt in (uav_rt, platform_rt):
                     if rt.session.state is SessionState.REQUESTED and (
                         rt is platform_rt or req.session_id == rt.session.session_id
                     ):
                         pending.append((rt.key, RequestIn(req)))
-            elif event.tx_type == TX_POL_VERDICT:
-                sid, verdict = decode_pol_verdict(event.payload)
+            elif tx.tx_type == TX_POL_VERDICT:
+                sid, verdict = decode_pol_verdict(tx.payload)
                 for rt in (uav_rt, platform_rt):
                     if sid == rt.session.session_id:
                         pending.append((rt.key, VerdictIn(sid, verdict)))
 
-    try:
-        dispatch(platform_rt, Start())
-        dispatch(uav_rt, Start())
+    dispatch(platform_rt, Start())
+    dispatch(uav_rt, Start())
 
-        for _ in range(100_000):  # hard stop; honest sessions take a few dozen steps
-            pump_ledger()
-            if pending:
-                key, event = pending.popleft()
-                dispatch(parties[key], event)
-                continue
-            if terminal(uav_rt) and terminal(platform_rt):
-                break
-            armed = [rt for rt in parties.values() if rt.deadline is not None and not terminal(rt)]
-            if not armed:
-                # One side finished (or never engaged) and the other has nothing
-                # to wait on: close it out.
-                for rt in parties.values():
-                    if not terminal(rt):
-                        rt.session = _abort(rt.session, "stalled")
-                break
-            rt = min(armed, key=lambda r: (r.deadline, r.key))
-            lg.clock.advance(max(0, rt.deadline - lg.clock.now_ns))
-            rt.deadline = None
-            dispatch(rt, TimeoutIn())
-        else:
-            raise RuntimeError("session did not terminate")
-    finally:
-        lg.unsubscribe(sub)
+    for _ in range(100_000):  # hard stop; honest sessions take a few dozen steps
+        pump_ledger()
+        if pending:
+            key, event = pending.popleft()
+            dispatch(parties[key], event)
+            continue
+        if terminal(uav_rt) and terminal(platform_rt):
+            break
+        armed = [rt for rt in parties.values() if rt.deadline is not None and not terminal(rt)]
+        if not armed:
+            # One side finished (or never engaged) and the other has nothing
+            # to wait on: close it out.
+            for rt in parties.values():
+                if not terminal(rt):
+                    rt.session = _abort(rt.session, "stalled")
+            break
+        rt = min(armed, key=lambda r: (r.deadline, r.key))
+        lg.clock.advance(max(0, rt.deadline - lg.clock.now_ns))
+        rt.deadline = None
+        dispatch(rt, TimeoutIn())
+    else:
+        raise RuntimeError("session did not terminate")
 
     return SessionOutcome(uav_rt.session, platform_rt.session, trace)

@@ -6,11 +6,12 @@ independent handshake session and reports what happened. Reports are a pure
 function of (scenario, seed).
 
 Each scenario invariant is checked once, by the constructor of the frozen
-type that holds it: AnchorSet (dimension, count, unique ids, geometry; the
-scenario's dimension is its anchor set's), ChannelParams (uwb.check_channel),
-AttackSpec (kind, offset) and Scenario (anchor ids as radio node ids, buffer,
-seed, attempts, attack target). So JSON, dataclasses.replace and sweeps all
-get the same ScenarioError, its message led by the field path.
+type that holds it: AnchorSet (dimension, count, unique ids, z = 0 in 2D,
+geometry; the scenario's dimension is its anchor set's), ChannelParams
+(uwb.check_channel), AttackSpec (kind, offset) and Scenario (anchor ids as
+radio node ids, buffer, seed, attempts, z = 0 in 2D, attack target). So
+JSON, dataclasses.replace and sweeps all get the same ScenarioError, its
+message led by the field path.
 """
 
 from __future__ import annotations
@@ -113,6 +114,15 @@ class Scenario:
                 raise ScenarioError(f"{path}: {UAV_NODE_ID!r} is the UAV's node id")
         if not self.attempts:
             raise ScenarioError("attempts: must be non-empty")
+        if self.anchors.dimension == 2:
+            positions = [(f"attempts[{i}].{which}", p)
+                         for i, a in enumerate(self.attempts)
+                         for which, p in (("true", a.true_position), ("claim", a.claim_position))]
+            if self.attack is not None:
+                positions.append(("attack.offset", self.attack.offset))
+            for path, p in positions:
+                if p is not None and p.z != 0.0:
+                    raise ScenarioError(f"{path}.z: must be 0 in a 2D scenario")
         if not (math.isfinite(self.buffer) and self.buffer > 0):
             raise ScenarioError(f"buffer: must be finite and > 0, got {self.buffer!r}")
         if not _is_index(self.seed, 2**64):
@@ -165,12 +175,6 @@ class RunReport:
         radii = [r.estimate.error_radius for r in self.records if r.estimate is not None]
         return statistics.median(radii) if radii else None
 
-    @property
-    def median_claim_distance(self) -> Optional[float]:
-        ds = [r.claim_to_estimate_distance for r in self.records
-              if r.claim_to_estimate_distance is not None]
-        return statistics.median(ds) if ds else None
-
 
 # -- scenario parsing -----------------------------------------------------------
 
@@ -197,13 +201,11 @@ def _number(obj, path: str) -> float:
     return value
 
 
-def _position(obj: dict, path: str, dimension: int) -> Position:
+def _position(obj: dict, path: str) -> Position:
     _require_keys(obj, path, ("x", "y"), ("z",))
     x = _number(obj["x"], f"{path}.x")
     y = _number(obj["y"], f"{path}.y")
     z = _number(obj.get("z", 0.0), f"{path}.z")
-    if dimension == 2 and z != 0.0:
-        raise ScenarioError(f"{path}.z: must be 0 in a 2D scenario")
     return Position(x, y, z)
 
 
@@ -211,8 +213,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document.
 
     Checks only the document's shape and types: keys, finite numbers that
-    fit a float, positions (z = 0 in 2D) and `dimension` as the integer 2
-    or 3. The constructors check the values (see the module docstring).
+    fit a float, positions and `dimension` as the integer 2 or 3. The
+    constructors check the values (see the module docstring).
     """
     _require_keys(
         data, "scenario",
@@ -234,8 +236,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require_keys(entry, path, ("id", "x", "y"), ("z",))
         if not isinstance(entry["id"], str):
             raise ScenarioError(f"{path}.id: expected a string")
-        pairs.append((entry["id"], _position({k: v for k, v in entry.items() if k != "id"},
-                                             path, dimension)))
+        pairs.append((entry["id"], _position({k: v for k, v in entry.items() if k != "id"}, path)))
     try:
         anchors = AnchorSet(pairs, dimension=dimension)
     except UwbPolError as exc:
@@ -247,9 +248,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     for i, entry in enumerate(data["attempts"]):
         path = f"attempts[{i}]"
         _require_keys(entry, path, ("true",), ("claim",))
-        true_pos = _position(entry["true"], f"{path}.true", dimension)
-        claim_pos = (_position(entry["claim"], f"{path}.claim", dimension)
-                     if "claim" in entry else None)
+        true_pos = _position(entry["true"], f"{path}.true")
+        claim_pos = _position(entry["claim"], f"{path}.claim") if "claim" in entry else None
         attempts.append(Attempt(true_pos, claim_pos))
 
     ch = data["channel"]
@@ -261,8 +261,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "attack" in data:
         at = data["attack"]
         _require_keys(at, "attack", ("kind", "target_attempt"), ("offset",))
-        offset = (_position(at["offset"], "attack.offset", dimension)
-                  if "offset" in at else None)
+        offset = _position(at["offset"], "attack.offset") if "offset" in at else None
         attack = AttackSpec(at["kind"], at["target_attempt"], offset)
 
     return Scenario(name, anchors, tuple(attempts), channel,

@@ -37,6 +37,10 @@ DEFAULT_NOISE_SIGMA = 0.05  # m
 DEFAULT_BIAS = 0.0  # m
 DEFAULT_LOSS_PROB = 0.01
 DEFAULT_MAX_RANGE = 60.0  # m
+# Ceiling on noise_sigma, |bias| and max_range: 1000 km is far beyond any UWB
+# link, and keeps every ranging statistic finite and the simulated clock far
+# below the ledger's 2^64 ns timestamps.
+MAX_CHANNEL_M = 1e6
 DEFAULT_REPLY_DELAY_NS = 300_000  # 300 us
 EXCHANGE_TIMEOUT_NS = 1_000_000  # how long an initiator waits before giving up
 EXCHANGE_TAIL_NS = 1_000  # after the response arrives, before the next exchange
@@ -141,6 +145,9 @@ def check_channel(noise_sigma: float, bias: float, loss_prob: float,
         raise ValueError("loss_prob: must be in [0, 1)")
     if max_range <= 0:
         raise ValueError("max_range: must be > 0")
+    for name, value in (("noise_sigma", noise_sigma), ("bias", bias), ("max_range", max_range)):
+        if abs(value) > MAX_CHANNEL_M:
+            raise ValueError(f"{name}: must be within {MAX_CHANNEL_M:g} m of 0, got {value!r}")
 
 
 class ChannelModel:

@@ -171,12 +171,12 @@ def test_criterion_6_ledger_fuzz_and_tamper(tmp_path):
     alice = lg.enroll_identity("alice", Role.UAV)
     bob = lg.enroll_identity("bob", Role.PLATFORM)
     eve = Ledger(seed=666).enroll_identity("eve", Role.UAV)  # forged elsewhere
-    sub = lg.subscribe("pol")
 
     rng = random.Random(77)
     mirror: dict[str, tuple[bytes, str, int]] = {}  # id -> (data, owner, version)
     committed = 0
     rejected = 0
+    receipts = []  # of the committed submits, in order
     parties = {"alice": alice, "bob": bob}
 
     while committed < 1000:
@@ -196,7 +196,7 @@ def test_criterion_6_ledger_fuzz_and_tamper(tmp_path):
             asset_id = f"a{rng.randint(0, 400)}"
             payload = encode_asset_payload(asset_id, rng.randbytes(8))
             try:
-                lg.submit_transaction(actor, "pol", ASSET_CREATE, payload)
+                receipts.append(lg.submit_transaction(actor, "pol", ASSET_CREATE, payload))
             except ChaincodeError:
                 rejected += 1
                 continue
@@ -207,7 +207,7 @@ def test_criterion_6_ledger_fuzz_and_tamper(tmp_path):
             data = rng.randbytes(8)
             payload = encode_asset_payload(asset_id, data)
             try:
-                lg.submit_transaction(actor, "pol", ASSET_UPDATE, payload)
+                receipts.append(lg.submit_transaction(actor, "pol", ASSET_UPDATE, payload))
             except (ChaincodeError, UnauthorizedError):
                 rejected += 1
                 continue
@@ -217,20 +217,20 @@ def test_criterion_6_ledger_fuzz_and_tamper(tmp_path):
         else:
             asset_id = rng.choice(sorted(mirror))
             try:
-                lg.submit_transaction(actor, "pol", ASSET_DELETE,
-                                      encode_asset_delete_payload(asset_id))
+                receipts.append(lg.submit_transaction(actor, "pol", ASSET_DELETE,
+                                                      encode_asset_delete_payload(asset_id)))
             except (ChaincodeError, UnauthorizedError):
                 rejected += 1
                 continue
             del mirror[asset_id]
             committed += 1
 
-    # Heights gapless 1..N and event count exact.
+    # Heights gapless 1..N and record count exact: the ledger holds exactly
+    # the committed submits, in the order of their receipts.
     txs = lg.transactions("pol")
     assert len(txs) == committed
-    events = sub.drain()
-    heights = [e.height for e in events]
-    gapless = heights == list(range(1, committed + 1))
+    gapless = [r.height for r in receipts] == list(range(1, committed + 1))
+    records_exact = [tx.tx_id for tx in txs] == [r.tx_id for r in receipts]
 
     # Live state matches the independent mirror of chaincode semantics.
     live = lg.assets_snapshot("pol")
@@ -264,10 +264,11 @@ def test_criterion_6_ledger_fuzz_and_tamper(tmp_path):
     tampered = replay_audit_log(audit, chaincode_factory=standard_chaincodes)
     tamper_detected = (not tampered.ok and tampered.failure_height == tampered_height)
 
-    ok = gapless and mirror_match and replay_match and tamper_detected and rejected > 0
+    ok = (gapless and records_exact and mirror_match and replay_match and tamper_detected
+          and rejected > 0)
     _verdict_line(6, ok,
-                  f"1000 committed txs: heights gapless={gapless}, events exact="
-                  f"{len(events) == committed}, zero unauthorized mutations="
+                  f"1000 committed txs: heights gapless={gapless}, records exact="
+                  f"{records_exact}, zero unauthorized mutations="
                   f"{mirror_match} ({rejected} rejections), replay bit-exact="
                   f"{replay_match}, tamper at height {tampered_height} detected="
                   f"{tamper_detected}")

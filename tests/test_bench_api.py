@@ -1,13 +1,17 @@
 """The benchmark's workloads still run against the package.
 
-One op of each workload in bench/workloads.py runs through its own run and
-check, with the api namespace that bench/run.py builds, so a name the
-benchmark calls that the package no longer has fails here first. The same op
-also runs under the benchmark's tracer, as `bench/run.py --trace 1` runs it,
-so a rename that breaks a traced run or its per-layer metrics fails here too.
+Each workload in bench/workloads.py runs ops through its own run and check,
+with the api namespace that bench/run.py builds, until every op kind has run
+once (both presets, each attack, a replay of each recorded `sim.run` audit
+log), and then its finish check. So a name the benchmark calls that the
+package no longer has, or a check that one kind of op fails, fails here
+first. One op also runs under the benchmark's tracer, as `bench/run.py
+--trace 1` runs it, so a rename that breaks a traced run or its per-layer
+metrics fails here too.
 """
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,6 +28,11 @@ from tracer import Tracer  # noqa: E402
 SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 # bench/run.py computes these two from its own timings, not from the trace.
 RUN_TIMED = {"trace.ops_per_s", "trace.untraced_ops_per_s"}
+OP_KINDS = {  # ops of the workload's input stream that cover each kind once
+    "presets": len(workloads.PRESETS),
+    "attacks": len(workloads.ATTACKS),
+    "ledger": len(workloads.SIM_LOG_KINDS),
+}
 TRACED_COUNTS = {  # per-layer counts one traced op of the workload must move
     "presets": ("geo.solves", "pol.steps"),
     "attacks": ("geo.solves", "pol.steps"),
@@ -42,8 +51,10 @@ def api():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_one_op_passes_its_checks(api, name, tmp_path):
     wl = workloads.WORKLOADS[name](api, tmp_path)
-    op = next(wl.inputs(0))
-    assert wl.check(op, wl.run(op), workloads.Stats()) == []
+    stats = workloads.Stats()
+    for op in itertools.islice(wl.inputs(0), OP_KINDS[name]):
+        assert wl.check(op, wl.run(op), stats) == [], op
+    assert wl.finish(stats) == []
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

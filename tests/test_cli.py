@@ -91,6 +91,14 @@ class TestRunCommand:
         assert run_main(["run", "--preset", "fig4", "--seed", "-1"]) == EXIT_USAGE
         assert "seed" in capsys.readouterr().err
 
+    def test_channel_above_ceiling_usage_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(sim._PRESETS["fig4"])
+        doc["channel"]["bias"] = 1e17
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run_main(["run", str(path)]) == EXIT_USAGE
+        assert "channel.bias" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path, capsys):
@@ -118,6 +126,12 @@ class TestSweepCommand:
                          "--values", "nan", "--reps", "2"])
         assert code == EXIT_USAGE
         assert "buffer" in capsys.readouterr().err
+
+    def test_noise_above_ceiling_usage_error(self, capsys):
+        code = run_main(["sweep", "--preset", "fig4", "--param", "noise_sigma",
+                         "--values", "1e160", "--reps", "1"])
+        assert code == EXIT_USAGE
+        assert "channel.noise_sigma" in capsys.readouterr().err
 
     def test_zero_reps_usage_error(self, capsys):
         code = run_main(["sweep", "--preset", "fig4", "--param", "buffer",

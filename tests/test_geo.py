@@ -99,6 +99,11 @@ class TestAnchorSet:
             AnchorSet([("a", Position(0, 0)), ("b", Position(1, 1)),
                        ("c", Position(2, 2))])
 
+    def test_z_is_0_in_2d(self):
+        with pytest.raises(GeometryError, match=r"anchors\[0\]\.z"):
+            AnchorSet([("a", Position(0, 0, 7)), ("b", Position(1, 0)),
+                       ("c", Position(0, 1))], dimension=2)
+
     def test_coplanar_rejected_3d(self):
         with pytest.raises(GeometryError):
             AnchorSet([("a", Position(0, 0, 1)), ("b", Position(1, 0, 1)),

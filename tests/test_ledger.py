@@ -1,4 +1,4 @@
-"""Ledger: identities, ordered transactions, chaincode, events, audit replay."""
+"""Ledger: identities, ordered transactions, chaincode, reads by height, audit replay."""
 
 import base64
 import hashlib
@@ -133,15 +133,14 @@ class TestSubmit:
         assert receipt.height == 1
 
     def test_sequential_heights_and_event_order(self, lg, alice):
-        sub = lg.subscribe("pol")
         r1 = lg.submit_transaction(alice, "pol", ASSET_CREATE,
                                    encode_asset_payload("x", b"1"))
         r2 = lg.submit_transaction(alice, "pol", ASSET_UPDATE,
                                    encode_asset_payload("x", b"2"))
         assert (r1.height, r2.height) == (1, 2)
-        events = sub.drain()
-        assert [e.height for e in events] == [1, 2]
-        assert [e.tx_type for e in events] == [ASSET_CREATE, ASSET_UPDATE]
+        txs = lg.transactions("pol")
+        assert [tx.tx_id for tx in txs] == [r1.tx_id, r2.tx_id]
+        assert [tx.tx_type for tx in txs] == [ASSET_CREATE, ASSET_UPDATE]
 
     def test_unenrolled_submitter_rejected(self, lg):
         rogue_home = Ledger(seed=4)
@@ -165,7 +164,6 @@ class TestSubmit:
         assert lg.height(led.MEMBERSHIP_CHANNEL) == before
 
     def test_oversized_field_is_invalid_transaction(self, lg, alice):
-        sub = lg.subscribe("pol")
         heights, now = _heights(lg), lg.clock.now_ns
         for identity, tx_type, payload in (
             (alice, ASSET_CREATE, b"x" * 70_000),
@@ -174,7 +172,15 @@ class TestSubmit:
         ):
             with pytest.raises(InvalidTransactionError, match="unencodable"):
                 lg.submit_transaction(identity, "pol", tx_type, payload)
-        assert _heights(lg) == heights and lg.clock.now_ns == now and sub.drain() == []
+        assert _heights(lg) == heights and lg.clock.now_ns == now
+        assert lg.transactions("pol") == ()
+
+    def test_clock_past_timestamp_range_is_invalid_transaction(self, lg, alice):
+        lg.clock.now_ns = 2**64  # a timestamp is an unsigned 64-bit field
+        heights = _heights(lg)
+        with pytest.raises(InvalidTransactionError, match="unencodable"):
+            lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
+        assert _heights(lg) == heights and lg.clock.now_ns == 2**64
 
     def test_signature_covers_payload(self, lg, alice):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
@@ -231,39 +237,29 @@ class TestAssetChaincode:
         assert lg.height("pol") == h
 
 
-class TestSubscriptions:
+class TestReadByHeight:
     def test_counting_and_order(self, lg, alice):
-        sub = lg.subscribe("pol")
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"d"))
         base = lg.height("pol")
-        for i in range(3):
-            lg.submit_transaction(alice, "pol", ASSET_CREATE,
-                                  encode_asset_payload(f"a{i}", b"d"))
-        events = sub.drain()
-        assert [e.height for e in events] == [base + 1, base + 2, base + 3]
-
-    def test_fanout_identical(self, lg, alice):
-        s1, s2 = lg.subscribe("pol"), lg.subscribe("pol")
-        for i in range(4):
-            lg.submit_transaction(alice, "pol", ASSET_CREATE,
-                                  encode_asset_payload(f"b{i}", b"d"))
-        assert s1.drain() == s2.drain()
+        receipts = [lg.submit_transaction(alice, "pol", ASSET_CREATE,
+                                          encode_asset_payload(f"a{i}", b"d"))
+                    for i in range(3)]
+        assert [r.height for r in receipts] == [base + 1, base + 2, base + 3]
+        assert [tx.tx_id for tx in lg.transactions("pol", base)] == [r.tx_id for r in receipts]
 
     def test_no_retroactive_delivery(self, lg, alice):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
-        sub = lg.subscribe("pol")
-        assert sub.drain() == []
+        assert lg.transactions("pol", lg.height("pol")) == ()
 
     def test_unknown_channel(self, lg):
         with pytest.raises(NoSuchChannelError):
-            lg.subscribe("nope")
+            lg.transactions("nope")
 
-    def test_unsubscribe_stops_delivery(self, lg, alice):
-        gone, kept = lg.subscribe("pol"), lg.subscribe("pol")
+    def test_start_outside_the_log(self, lg, alice):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
-        lg.unsubscribe(gone)
-        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("b", b"1"))
-        assert [e.height for e in gone.drain()] == [1]
-        assert [e.height for e in kept.drain()] == [1, 2]
+        for start in (-1, lg.height("pol") + 1):
+            with pytest.raises(ValueError, match="outside"):
+                lg.transactions("pol", start)
 
 
 class TestAuditReplay:

@@ -438,6 +438,8 @@ class TestRunSession:
         assert out.platform.estimate is not None and not out.platform.estimate.converged
 
     def test_session_unsubscribes_even_when_it_raises(self):
+        # A session holds nothing on the ledger: it reads records by height.
+        # What is left to pin is that a fault inside it raises through.
         lg, channel, uav_party, platform_party, clock = session_world()
 
         def tamper(frame):
@@ -447,7 +449,23 @@ class TestRunSession:
             run_session(uav_party, platform_party, lg, channel,
                         LocationClaim(Position(3.95, 2.705), clock.now_ns),
                         random.Random(1), buffer=1.0, poll_tamper=tamper)
-        assert not any(lg._subscribers.values())
+
+    def test_session_reads_only_records_committed_after_it_starts(self):
+        lg, channel, uav_party, platform_party, clock = session_world()
+        claim = LocationClaim(Position(3.95, 2.705), clock.now_ns)
+        first = run_session(uav_party, platform_party, lg, channel, claim,
+                            random.Random(1), buffer=1.0)
+        assert first.terminal_state is SessionState.AUTHORIZED
+        assert [tx.tx_type for tx in lg.transactions("pol")] == [pol.TX_POL_REQUEST,
+                                                                 pol.TX_POL_VERDICT]
+        # The first session's request and verdict are still on the ledger; a
+        # session that read them would arm its platform from the stale request.
+        second = run_session(uav_party, platform_party, lg, channel, claim,
+                             random.Random(2), buffer=1.0)
+        assert second.terminal_state is SessionState.AUTHORIZED
+        assert second.uav.session_id != first.uav.session_id
+        assert second.platform.session_id == second.uav.session_id
+        assert second.platform.code_platform == second.uav.code_platform
 
     def test_unenrolled_uav_never_requests(self):
         lg, channel, _, platform_party, clock = session_world()

@@ -186,19 +186,38 @@ class TestScenarioInvariants:
         ch = get_preset("fig4").channel
         for key, value in (("noise_sigma", -1.0), ("noise_sigma", math.nan),
                            ("bias", math.nan), ("loss_prob", math.inf),
-                           ("max_range", math.nan), ("max_range", 0.0)):
+                           ("max_range", math.nan), ("max_range", 0.0),
+                           # finite, but past the channel ceiling of 1e6 m
+                           ("noise_sigma", 1e160), ("noise_sigma", 1e150), ("bias", 1e17),
+                           ("bias", -1e300), ("max_range", 1e17)):
             with pytest.raises(ScenarioError, match=rf"channel\.{key}:"):
                 replace(ch, **{key: value})
 
+    def test_channel_at_its_ceiling_runs(self):
+        ch = get_preset("fig4").channel
+        at_ceiling = replace(ch, noise_sigma=1e6, bias=-1e6, max_range=1e6)
+        report = run(replace(get_preset("fig4"), channel=at_ceiling), seed_override=1)
+        assert {r.terminal_state for r in report.records} <= {"AUTHORIZED", "REJECTED",
+                                                              "ABORTED"}
+
     def test_scenario_checked_on_replace(self):
         sc = get_preset("fig4")
+        off_plane = Position(3.95, 2.705, 3.0)  # z = 3 in the 2D fig4
+        lifted_claim = sim.Attempt(sc.attempts[1].true_position, off_plane)
+        lifting_spoof = AttackSpec(ATTACK_GNSS_SPOOF, 0, Position(2.0, 0.0, 1.0))
         for changes, path in (({"buffer": math.nan}, "buffer"),
                               ({"buffer": math.inf}, "buffer"),
                               ({"seed": -1}, "seed"),
                               ({"seed": 1.5}, "seed"),
                               ({"attempts": ()}, "attempts"),
                               ({"attack": AttackSpec(ATTACK_WRONG_IDENTITY, 2)},
-                               "attack.target_attempt")):
+                               "attack.target_attempt"),
+                              ({"attempts": (sim.Attempt(off_plane),)},
+                               r"attempts\[0\]\.true\.z: must be 0 in a 2D scenario"),
+                              ({"attempts": (sc.attempts[0], lifted_claim)},
+                               r"attempts\[1\]\.claim\.z: must be 0 in a 2D scenario"),
+                              ({"attack": lifting_spoof},
+                               r"attack\.offset\.z: must be 0 in a 2D scenario")):
             with pytest.raises(ScenarioError, match=path):
                 replace(sc, **changes)
         with pytest.raises(ScenarioError, match="attack.offset"):
@@ -264,24 +283,17 @@ class TestRun:
 
         class CountingLedger(sim.Ledger):
             def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("authority_name", "authority"))
+                built.append(kwargs.get("seed"))
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(sim, "Ledger", CountingLedger)
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_WRONG_IDENTITY, 1))
         report = run(sc, seed_override=7)
-        assert built == ["authority"]
+        assert built == [7]
         assert report.records[1].abort_reason == "unauthorized"
 
-    def test_no_subscription_outlives_its_session(self):
-        sc = get_preset("fig4")
-        report = run(replace(sc, attempts=sc.attempts * 25), seed_override=7)
-        assert len(report.records) == 50
-        assert not any(report.ledger._subscribers.values())
-
     def test_one_encode_and_one_decode_per_record(self, monkeypatch):
-        calls = {"build": 0, "request": 0, "verdict": 0, "subscribe": 0}
-        pol_subscribers = []  # subscriptions on `pol` at each submit there
+        calls = {"build": 0, "request": 0, "verdict": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -295,24 +307,13 @@ class TestRun:
                             counted("request", pol.decode_pol_request))
         monkeypatch.setattr(pol, "decode_pol_verdict",
                             counted("verdict", pol.decode_pol_verdict))
-        monkeypatch.setattr(ledger.Ledger, "subscribe",
-                            counted("subscribe", ledger.Ledger.subscribe))
-        submit = ledger.Ledger.submit_transaction
-
-        def watched_submit(self, identity, channel, tx_type, payload):
-            if channel == ledger.DEFAULT_CHANNEL:
-                pol_subscribers.append(len(self._subscribers[channel]))
-            return submit(self, identity, channel, tx_type, payload)
-
-        monkeypatch.setattr(ledger.Ledger, "submit_transaction", watched_submit)
         report = run(get_preset("fig4"), seed_override=7)
         assert [r.terminal_state for r in report.records] == ["AUTHORIZED"] * 2
         # 3 enrollments, then a request and a verdict per session; each record
         # is built once on submit and once on commit, and each POL record is
         # decoded once by its chaincode and once for the session's machines.
         assert len(report.ledger._state.journal) == 7
-        assert calls == {"build": 14, "request": 4, "verdict": 4, "subscribe": 2}
-        assert pol_subscribers == [1, 1, 1, 1]
+        assert calls == {"build": 14, "request": 4, "verdict": 4}
 
     def test_code_replay_aborts_without_ranging(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_CODE_REPLAY, 1))
