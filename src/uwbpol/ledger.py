@@ -20,6 +20,12 @@ exactly one accepted encoding.
 Every admission decision is made in one place, LedgerState.commit: the live
 ledger commits through it, and audit replay re-commits each logged record
 through it, so the two accept exactly the same transactions.
+
+As in Fabric, each tx type on a channel has exactly one chaincode, and
+chaincode state lives only in the world state: the channel's dict of assets.
+Chaincodes hold no fields, so live commit and replay rebuild the same dict.
+AssetChaincode refuses PolChaincode's key ranges (RESERVED_PREFIXES), so no
+client writes them.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ ENROLL_TX_TYPE = "ENROLL"
 ASSET_CREATE = "ASSET_CREATE"
 ASSET_UPDATE = "ASSET_UPDATE"
 ASSET_DELETE = "ASSET_DELETE"
+# World-state key ranges that only PolChaincode writes: one session asset per
+# request, and one entry per session code it pins.
+SESSION_ASSET_PREFIX = "pol-session-"
+CODE_ASSET_PREFIX = "pol-code-"
+RESERVED_PREFIXES = (SESSION_ASSET_PREFIX, CODE_ASSET_PREFIX)
 
 CERT_VALIDITY_NS = 365 * 24 * 3600 * 10**9  # one year of simulated time
 COMMIT_LATENCY_NS = 1_000_000  # 1 ms per ordered commit
@@ -189,7 +200,7 @@ def compute_tx_id(signed: bytes, height: int, submitter: str) -> bytes:
 class Asset:
     asset_id: str
     data: bytes
-    owner: str
+    owner: str  # the identity that may write the next version
     version: int
 
 
@@ -204,40 +215,38 @@ class Receipt:
 class AssetChaincode:
     """Minimal asset CRUD dispatched on commit.
 
-    Handlers validate before mutating, so a rejected transaction leaves the
-    state untouched.
+    A client may create any id outside RESERVED_PREFIXES, which PolChaincode
+    alone writes, and owns what it creates: only the owner may update or
+    delete it. Handlers validate before mutating, so a rejected transaction
+    leaves the state untouched.
     """
 
     TX_TYPES = (ASSET_CREATE, ASSET_UPDATE, ASSET_DELETE)
 
-    def handles(self, tx_type: str) -> bool:
-        return tx_type in self.TX_TYPES
-
     def apply(self, assets: dict[str, Asset], tx: Transaction) -> None:
+        # The payload is encode_asset_payload's, or encode_asset_delete_payload's.
+        try:
+            asset_id, off = read_lps(tx.payload, 0)
+            data, off = (b"", off) if tx.tx_type == ASSET_DELETE else read_lp(tx.payload, off)
+        except ValueError as exc:
+            raise ChaincodeError(f"bad asset payload: {exc}") from None
+        if off != len(tx.payload):
+            raise ChaincodeError("trailing bytes in asset payload")
+        if asset_id.startswith(RESERVED_PREFIXES):
+            raise UnauthorizedError(f"asset {asset_id!r} is in a key range no client may write")
+        current = assets.get(asset_id)
         if tx.tx_type == ASSET_CREATE:
-            asset_id, data = decode_asset_payload(tx.payload)
-            if asset_id in assets:
+            if current is not None:
                 raise AssetConflictError(f"asset {asset_id!r} already exists")
             assets[asset_id] = Asset(asset_id, data, owner=tx.submitter, version=1)
-        elif tx.tx_type == ASSET_UPDATE:
-            asset_id, data = decode_asset_payload(tx.payload)
-            current = assets.get(asset_id)
-            if current is None:
-                raise AssetNotFoundError(f"asset {asset_id!r} not found")
-            if current.owner != tx.submitter:
-                raise UnauthorizedError(
-                    f"{tx.submitter!r} does not own asset {asset_id!r}"
-                )
+            return
+        if current is None:
+            raise AssetNotFoundError(f"asset {asset_id!r} not found")
+        if current.owner != tx.submitter:
+            raise UnauthorizedError(f"{tx.submitter!r} does not own asset {asset_id!r}")
+        if tx.tx_type == ASSET_UPDATE:
             assets[asset_id] = Asset(asset_id, data, current.owner, current.version + 1)
-        elif tx.tx_type == ASSET_DELETE:
-            asset_id = decode_asset_delete_payload(tx.payload)
-            current = assets.get(asset_id)
-            if current is None:
-                raise AssetNotFoundError(f"asset {asset_id!r} not found")
-            if current.owner != tx.submitter:
-                raise UnauthorizedError(
-                    f"{tx.submitter!r} does not own asset {asset_id!r}"
-                )
+        else:
             del assets[asset_id]
 
 
@@ -245,29 +254,8 @@ def encode_asset_payload(asset_id: str, data: bytes) -> bytes:
     return lps(asset_id) + lp(data)
 
 
-def decode_asset_payload(payload: bytes) -> tuple[str, bytes]:
-    try:
-        asset_id, off = read_lps(payload, 0)
-        data, off = read_lp(payload, off)
-    except ValueError as exc:
-        raise ChaincodeError(f"bad asset payload: {exc}") from None
-    if off != len(payload):
-        raise ChaincodeError("trailing bytes in asset payload")
-    return asset_id, data
-
-
 def encode_asset_delete_payload(asset_id: str) -> bytes:
     return lps(asset_id)
-
-
-def decode_asset_delete_payload(payload: bytes) -> str:
-    try:
-        asset_id, off = read_lps(payload, 0)
-    except ValueError as exc:
-        raise ChaincodeError(f"bad asset delete payload: {exc}") from None
-    if off != len(payload):
-        raise ChaincodeError("trailing bytes in asset delete payload")
-    return asset_id
 
 
 # -- the ledger ----------------------------------------------------------------
@@ -283,7 +271,15 @@ class _Channel:
     def __init__(self, chaincodes: list):
         self.log: list[Transaction] = []
         self.assets: dict[str, Asset] = {}
-        self.chaincodes = chaincodes
+        self.chaincodes: dict[str, object] = {}  # tx type -> its one chaincode
+        for chaincode in chaincodes:
+            self.install(chaincode)
+
+    def install(self, chaincode) -> None:
+        taken = [t for t in chaincode.TX_TYPES if t in self.chaincodes]
+        if taken:
+            raise ValueError(f"tx types {taken} already have a chaincode")
+        self.chaincodes.update(dict.fromkeys(chaincode.TX_TYPES, chaincode))
 
 
 def _verify(key: ec.EllipticCurvePublicKey, signature: bytes, data: bytes, what: str) -> None:
@@ -354,8 +350,8 @@ class LedgerState:
         checks use the registered certificate, never one the submitter
         presents; the first ENROLL on the membership channel bootstraps the
         self-signed authority. An ENROLL's key is parsed here, once, and
-        must be an uncompressed P-256 point. Every other record needs a
-        chaincode on its channel that handles its tx type. Any failure
+        must be an uncompressed P-256 point. Every other record needs the
+        chaincode that its channel maps its tx type to. Any failure
         raises a LedgerError and leaves the state untouched.
         """
         _check_log_field("submitter", tx.submitter)
@@ -404,12 +400,12 @@ class LedgerState:
                     enrollee.issuer_signature, enrollee.canonical_bytes(),
                     "certificate signature")
 
-        handlers = [cc for cc in ch.chaincodes if cc.handles(tx.tx_type)]
-        if not handlers and enrollee is None:
+        chaincode = ch.chaincodes.get(tx.tx_type)
+        if chaincode is not None:
+            chaincode.apply(ch.assets, tx)  # a LedgerError aborts the commit
+        elif enrollee is None:
             raise ChaincodeError(
                 f"no chaincode on channel {tx.channel!r} handles {tx.tx_type!r}")
-        for cc in handlers:
-            cc.apply(ch.assets, tx)  # a LedgerError aborts the commit
         if enrollee is not None:
             self.registry[enrollee.subject] = enrollee
             self.keys[enrollee.subject] = enrollee_key
@@ -472,7 +468,7 @@ class Ledger:
     # -- channels --
 
     def install_chaincode(self, channel: str, chaincode) -> None:
-        self._state.channel(channel).chaincodes.append(chaincode)
+        self._state.channel(channel).install(chaincode)
 
     def height(self, channel: str) -> int:
         return len(self._state.channel(channel).log)

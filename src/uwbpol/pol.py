@@ -30,6 +30,8 @@ from .errors import (
 )
 from .geo import AnchorSet, EstimateResult, Position, RangeStats, distance, multilaterate
 from .ledger import (
+    CODE_ASSET_PREFIX,
+    SESSION_ASSET_PREFIX,
     Asset,
     AssetChaincode,
     DEFAULT_CHANNEL,
@@ -49,8 +51,6 @@ POLL_TIMEOUT_NS = 500_000_000  # 500 ms of simulated time
 MAX_RETRIES = 3
 RANGING_ROUNDS = 200  # poll/response rounds pooled into one position estimate
 LIKELIHOOD_TOL = 1e-12  # how far a committed verdict's likelihood may be from its numbers
-
-SESSION_ASSET_PREFIX = "pol-session-"
 
 
 class SessionState(Enum):
@@ -184,7 +184,7 @@ def new_session_id(rng: random.Random) -> bytes:
 def claim_likelihood(d: float, error_radius: float) -> float:
     """exp(-d^2 / (2 * error_radius^2)); with a zero radius, 1 at d == 0 and else 0."""
     sigma_sq = error_radius**2
-    return math.exp(-(d**2) / (2.0 * sigma_sq)) if sigma_sq > 0 else float(d == 0.0)
+    return math.exp(-0.5 * (d**2 / sigma_sq)) if sigma_sq > 0 else float(d == 0.0)
 
 
 def validate_location(claim: LocationClaim, estimate: EstimateResult,
@@ -214,20 +214,19 @@ def validate_location(claim: LocationClaim, estimate: EstimateResult,
 class PolChaincode:
     """Ledger-side rules for the handshake's two transaction types.
 
-    POL_REQUEST opens a session asset and pins its codes (codes are
-    single-use across sessions); only the UAV it names may submit it.
-    POL_VERDICT closes it, only the platform the request names may submit
-    it, and it must be self-consistent: accepted exactly when
-    distance <= buffer, and its likelihood within LIKELIHOOD_TOL of what
-    `claim_likelihood` gives for its distance and error radius.
+    It keeps no state of its own: it reads and writes two key ranges of the
+    world state, which AssetChaincode refuses to every client.
+    POL_REQUEST, from the UAV the request names only, opens the session
+    asset `pol-session-<sid>`, which holds the request. Its owner is the
+    platform the request names, since an owner writes the next version. It
+    also writes a `pol-code-<hex>` entry per session code, so codes are
+    single-use across sessions. POL_VERDICT, from the session asset's owner
+    only, closes the session. It must be self-consistent: accepted exactly
+    when distance <= buffer, and its likelihood within LIKELIHOOD_TOL of
+    what `claim_likelihood` gives for its distance and error radius.
     """
 
-    def __init__(self):
-        self._seen_codes: set[bytes] = set()
-        self._platforms: dict[bytes, str] = {}  # session id -> platform its request names
-
-    def handles(self, tx_type: str) -> bool:
-        return tx_type in (TX_POL_REQUEST, TX_POL_VERDICT)
+    TX_TYPES = (TX_POL_REQUEST, TX_POL_VERDICT)
 
     def apply(self, assets: dict[str, Asset], tx: Transaction) -> None:
         if tx.tx_type == TX_POL_REQUEST:
@@ -240,16 +239,18 @@ class PolChaincode:
             asset_id = SESSION_ASSET_PREFIX + req.session_id.hex()
             if asset_id in assets:
                 raise AssetConflictError(f"session {req.session_id.hex()} already open")
-            if req.code_uav in self._seen_codes or req.code_platform in self._seen_codes:
+            code_ids = [CODE_ASSET_PREFIX + c.hex() for c in (req.code_uav, req.code_platform)]
+            if any(code_id in assets for code_id in code_ids):
                 raise ChaincodeError("session code reuse rejected")
-            self._seen_codes.add(req.code_uav)
-            self._seen_codes.add(req.code_platform)
-            self._platforms[req.session_id] = req.platform_id
-            assets[asset_id] = Asset(asset_id, tx.payload, owner=tx.submitter, version=1)
+            for code_id in code_ids:
+                assets[code_id] = Asset(code_id, req.session_id, owner=tx.submitter, version=1)
+            assets[asset_id] = Asset(asset_id, tx.payload, owner=req.platform_id, version=1)
         elif tx.tx_type == TX_POL_VERDICT:
             try:
                 session_id, verdict = decode_pol_verdict(tx.payload)
-            except ValueError as exc:
+                likelihood = claim_likelihood(verdict.claim_to_estimate_distance,
+                                              verdict.error_radius)
+            except (ValueError, OverflowError) as exc:
                 raise ChaincodeError(f"bad verdict payload: {exc}") from exc
             asset_id = SESSION_ASSET_PREFIX + session_id.hex()
             current = assets.get(asset_id)
@@ -257,15 +258,13 @@ class PolChaincode:
                 raise AssetNotFoundError(f"verdict for unknown session {session_id.hex()}")
             if current.version != 1:
                 raise ChaincodeError(f"session {session_id.hex()} already closed")
-            # Kept from the request itself: ASSET_CREATE can forge a session asset.
-            if self._platforms.get(session_id) != tx.submitter:
+            if current.owner != tx.submitter:
                 raise UnauthorizedError(
                     f"{tx.submitter!r} is not the platform of session {session_id.hex()}"
                 )
             if verdict.accepted != (verdict.claim_to_estimate_distance <= verdict.buffer):
                 raise ChaincodeError("verdict inconsistent with its own distance/buffer")
-            if abs(verdict.likelihood - claim_likelihood(verdict.claim_to_estimate_distance,
-                                                         verdict.error_radius)) > LIKELIHOOD_TOL:
+            if abs(verdict.likelihood - likelihood) > LIKELIHOOD_TOL:
                 raise ChaincodeError("verdict likelihood inconsistent with its distance/radius")
             assets[asset_id] = Asset(
                 asset_id, current.data + tx.payload, current.owner, current.version + 1
@@ -353,7 +352,6 @@ class PlatformContext:
 class PolSession:
     """One party's view of a handshake in progress."""
 
-    role: str  # "uav" or "platform"
     session_id: bytes
     uav_id: str
     platform_id: str
@@ -565,7 +563,7 @@ def run_session(
 
     uav_rt = _PartyRuntime(
         "uav",
-        PolSession("uav", session_id, uav_party.identity.name,
+        PolSession(session_id, uav_party.identity.name,
                    platform_party.identity.name, code_uav, code_platform, claim=claim),
         uav_step,
         UavContext(uav_party.node.node_id),
@@ -573,7 +571,7 @@ def run_session(
     )
     platform_rt = _PartyRuntime(
         "platform",
-        PolSession("platform", b"\x00" * 16, "", platform_party.identity.name,
+        PolSession(b"\x00" * 16, "", platform_party.identity.name,
                    b"\x00" * 16, b"\x00" * 16),
         platform_step,
         PlatformContext(platform_party.anchor_set,
@@ -610,13 +608,12 @@ def run_session(
             try:
                 lg.submit_transaction(rt.identity, DEFAULT_CHANNEL,
                                       action.tx_type, action.payload)
-            except UnauthorizedError:
-                rt.session = _abort(rt.session, "unauthorized")
-                rt.deadline = None
+            except (UnauthorizedError, ChaincodeError) as exc:
+                # Traced from the state the submit came from, before the abort.
                 trace.append((lg.clock.now_ns, rt.key, rt.session.state.value,
                               "SubmitRejected", SessionState.ABORTED.value, ()))
-            except ChaincodeError:
-                rt.session = _abort(rt.session, "chaincode-reject")
+                rt.session = _abort(rt.session, "unauthorized" if isinstance(
+                    exc, UnauthorizedError) else "chaincode-reject")
                 rt.deadline = None
         elif isinstance(action, SendFrame):
             frame = replace(action.frame, tx_timestamp=lg.clock.now_ns)

@@ -9,9 +9,9 @@ Each scenario invariant is checked once, by the constructor of the frozen
 type that holds it: AnchorSet (dimension, count, unique ids, z = 0 in 2D,
 geometry; the scenario's dimension is its anchor set's), ChannelParams
 (uwb.check_channel), AttackSpec (kind, offset) and Scenario (anchor ids as
-radio node ids, buffer, seed, attempts, z = 0 in 2D, attack target). So
-JSON, dataclasses.replace and sweeps all get the same ScenarioError, its
-message led by the field path.
+radio node ids, buffer, seed, attempts, z = 0 in 2D, coordinates within
+MAX_COORD_M, attack target). So JSON, dataclasses.replace and sweeps all get
+the same ScenarioError, its message led by the field path.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ ATTACK_KINDS = (ATTACK_GNSS_SPOOF, ATTACK_WRONG_IDENTITY, ATTACK_CODE_REPLAY)
 SWEEP_PARAMETERS = ("noise_sigma", "buffer", "distance_scale")
 DEFAULT_SWEEP_REPS = 100
 
+# Ceiling on |x|, |y| and |z| of every scenario position and spoof offset:
+# 1000 km is far beyond any UWB link, and the square of any distance between
+# two scenario points, claimed ones included, stays a finite float.
+MAX_COORD_M = 1e6
 UAV_NODE_ID = "uav"
 UAV_IDENTITY = "uav-1"
 PLATFORM_IDENTITY = "pad-1"
@@ -114,15 +118,17 @@ class Scenario:
                 raise ScenarioError(f"{path}: {UAV_NODE_ID!r} is the UAV's node id")
         if not self.attempts:
             raise ScenarioError("attempts: must be non-empty")
-        if self.anchors.dimension == 2:
-            positions = [(f"attempts[{i}].{which}", p)
-                         for i, a in enumerate(self.attempts)
-                         for which, p in (("true", a.true_position), ("claim", a.claim_position))]
-            if self.attack is not None:
-                positions.append(("attack.offset", self.attack.offset))
-            for path, p in positions:
-                if p is not None and p.z != 0.0:
-                    raise ScenarioError(f"{path}.z: must be 0 in a 2D scenario")
+        positions = [(f"anchors[{i}]", p) for i, (_, p) in enumerate(self.anchors.anchors)]
+        positions += [(f"attempts[{i}].{which}", p)
+                      for i, a in enumerate(self.attempts)
+                      for which, p in (("true", a.true_position), ("claim", a.claim_position))]
+        if self.attack is not None:
+            positions.append(("attack.offset", self.attack.offset))
+        for path, p in positions:
+            if p is not None and self.anchors.dimension == 2 and p.z != 0.0:
+                raise ScenarioError(f"{path}.z: must be 0 in a 2D scenario")
+            if p is not None and max(abs(p.x), abs(p.y), abs(p.z)) > MAX_COORD_M:
+                raise ScenarioError(f"{path}: coordinates must be within {MAX_COORD_M:g} m of 0")
         if not (math.isfinite(self.buffer) and self.buffer > 0):
             raise ScenarioError(f"buffer: must be finite and > 0, got {self.buffer!r}")
         if not _is_index(self.seed, 2**64):

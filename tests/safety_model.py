@@ -2,8 +2,9 @@
 
 The two transition functions are pure, so their composition with an abstract
 environment can be model-checked directly: the environment mirrors what the
-ledger and radio would do with each emitted action (commit a request only for
-an enrolled submitter, commit only self-consistent verdicts, let frames be
+ledger and radio would do with each emitted action (refuse a transaction from
+an unenrolled submitter, run every other one through the real, stateless
+PolChaincode on a frozen copy of the `pol` world state, let frames be
 captured and replayed), and an adversary chooses the order of every
 deliverable event and may inject corrupted or stale radio frames and spurious
 timeouts at any point. Exploration is a BFS over composed states; exploring
@@ -20,11 +21,14 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from uwbpol.errors import ProtocolViolationError
+from uwbpol.errors import ChaincodeError, ProtocolViolationError, UnauthorizedError
 from uwbpol.geo import Position, RangeStats, distance
+from uwbpol.ledger import DEFAULT_CHANNEL, Transaction
 from uwbpol.pol import (
+    TX_POL_REQUEST,
     LocationClaim,
     PlatformContext,
+    PolChaincode,
     PolSession,
     RangingResultIn,
     RequestIn,
@@ -70,6 +74,7 @@ class EnvState:
     uav_enrolled: bool
     platform_enrolled: bool
     claim_honest: bool
+    pol_assets: tuple = ()  # the `pol` world state, as sorted (asset id, Asset) pairs
     request_payload: Optional[bytes] = None  # committed POL_REQUEST
     poll_sent: bool = False          # correct poll is on the air / captured
     response_sent: bool = False      # correct response is on the air / captured
@@ -88,8 +93,8 @@ class World:
 
 def initial_world(uav_enrolled: bool, platform_enrolled: bool, claim_honest: bool) -> World:
     claim = LocationClaim(SPOOFED if not claim_honest else TRUTH, 0)
-    uav = PolSession("uav", SID, "uav-1", "pad-1", CODE_U, CODE_P, claim=claim)
-    platform = PolSession("platform", b"\x00" * 16, "", "pad-1",
+    uav = PolSession(SID, "uav-1", "pad-1", CODE_U, CODE_P, claim=claim)
+    platform = PolSession(b"\x00" * 16, "", "pad-1",
                           b"\x00" * 16, b"\x00" * 16)
     return World(uav, platform,
                  EnvState(uav_enrolled, platform_enrolled, claim_honest))
@@ -99,25 +104,25 @@ def _apply_actions(world: World, party: str, session: PolSession, actions) -> Wo
     env = world.env
     for action in actions:
         if isinstance(action, SubmitTx):
-            if action.tx_type == "POL_REQUEST":
-                if env.uav_enrolled:
-                    env = replace(env, request_payload=action.payload)
-                else:
-                    session = replace(session, state=SessionState.ABORTED,
-                                      abort_reason="unauthorized")
-            elif action.tx_type == "POL_VERDICT":
-                if env.platform_enrolled:
-                    sid, verdict = decode_pol_verdict(action.payload)
-                    # Chaincode refuses verdicts that contradict themselves
-                    # or reference a session that never opened.
-                    if (sid == SID and env.request_payload is not None
-                            and env.verdict is None
-                            and verdict.accepted == (
-                                verdict.claim_to_estimate_distance <= verdict.buffer)):
-                        env = replace(env, verdict=verdict)
-                else:
-                    session = replace(session, state=SessionState.ABORTED,
-                                      abort_reason="unauthorized")
+            enrolled = env.uav_enrolled if party == "uav" else env.platform_enrolled
+            submitter = session.uav_id if party == "uav" else session.platform_id
+            tx = Transaction(b"", DEFAULT_CHANNEL, action.tx_type, action.payload,
+                             submitter, 0, b"")
+            assets = dict(env.pol_assets)
+            try:
+                if not enrolled:  # enrollment and signatures stay abstract
+                    raise UnauthorizedError(f"{submitter!r} not enrolled")
+                PolChaincode().apply(assets, tx)
+            except (UnauthorizedError, ChaincodeError) as exc:
+                reason = ("unauthorized" if isinstance(exc, UnauthorizedError)
+                          else "chaincode-reject")
+                session = replace(session, state=SessionState.ABORTED, abort_reason=reason)
+                continue
+            env = replace(env, pol_assets=tuple(sorted(assets.items())))
+            if action.tx_type == TX_POL_REQUEST:
+                env = replace(env, request_payload=action.payload)
+            else:
+                env = replace(env, verdict=decode_pol_verdict(action.payload)[1])
         elif isinstance(action, SendFrame):
             if action.frame.frame_type is FrameType.POLL:
                 env = replace(env, poll_sent=True)

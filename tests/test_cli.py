@@ -87,6 +87,15 @@ class TestRunCommand:
         assert run_main(["run", str(path)]) == EXIT_USAGE
         assert "anchors[0].x" in capsys.readouterr().err
 
+    def test_spoof_offset_above_ceiling_usage_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(sim._PRESETS["fig4"])
+        doc["attack"] = {"kind": "GNSS_SPOOF", "target_attempt": 0,
+                         "offset": {"x": 1e200, "y": 0.0}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run_main(["run", str(path)]) == EXIT_USAGE
+        assert "attack.offset: coordinates must be within" in capsys.readouterr().err
+
     def test_negative_seed_usage_error(self, capsys):
         assert run_main(["run", "--preset", "fig4", "--seed", "-1"]) == EXIT_USAGE
         assert "seed" in capsys.readouterr().err

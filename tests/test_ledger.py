@@ -442,6 +442,12 @@ IMPOSSIBLE_VERDICTS = {
     "nan": (0, (math.nan, math.nan, math.nan, 0.0)),
     "negative-error-radius": (1, (0.1, -3.0, 1.0, 0.9)),
     "infinite-buffer": (1, (5.0, 0.05, math.inf, 0.9)),
+    # Finite, but the distance's square overflows a float.
+    "overflowing-distance": (0, (1e200, 0.05, 1.0, 0.0)),
+    # Squares that overflow to inf would give a NaN likelihood, which no
+    # tolerance check refuses, so each stated likelihood must be refused.
+    "overflowing-distance-and-radius-0": (0, (1e200, 1e200, 1.0, 0.0)),
+    "overflowing-distance-and-radius-exact": (0, (1e200, 1e200, 1.0, math.exp(-0.5))),
 }
 
 
@@ -502,12 +508,15 @@ class TestLiveForgery:
         asset_id = SESSION_ASSET_PREFIX + sid.hex()
         request = encode_pol_request(PolRequest(sid, alice.name, alice.name, b"u" * 16,
                                                 b"p" * 16, LocationClaim(Position(0, 0), 0)))
-        pol_lg.submit_transaction(alice, "pol", ASSET_CREATE,
-                                  encode_asset_payload(asset_id, request))
-        with pytest.raises(UnauthorizedError):
+        before = _heights(pol_lg)
+        with pytest.raises(UnauthorizedError, match="key range"):
+            pol_lg.submit_transaction(alice, "pol", ASSET_CREATE,
+                                      encode_asset_payload(asset_id, request))
+        with pytest.raises(AssetNotFoundError):
             pol_lg.submit_transaction(alice, "pol", TX_POL_VERDICT,
                                       encode_pol_verdict(sid, ACCEPTING_VERDICT))
-        assert pol_lg.query_asset("pol", asset_id).version == 1
+        assert _heights(pol_lg) == before
+        assert asset_id not in pol_lg.assets_snapshot("pol")
 
     def test_request_for_another_uav(self, pol_lg, alice, pad):
         with pytest.raises(UnauthorizedError):
@@ -523,6 +532,100 @@ class TestLiveForgery:
         with pytest.raises(ChaincodeError, match="no chaincode on channel"):
             pol_lg.submit_transaction(*_unhandled(pol_lg, alice, case))
         assert state() == before
+
+
+REJECTING_VERDICT = Verdict(False, 2.0, 0.05, 1.0, claim_likelihood(2.0, 0.05))
+
+
+def _closed_session(lg, uav, platform):
+    """Commit a request and a rejecting verdict for session b"s" * 16; return the request."""
+    request = _pol_request(uav, platform)
+    lg.submit_transaction(uav, "pol", TX_POL_REQUEST, request)
+    lg.submit_transaction(platform, "pol", TX_POL_VERDICT,
+                          encode_pol_verdict(b"s" * 16, REJECTING_VERDICT))
+    return request
+
+
+# Client writes into PolChaincode's key ranges, each of which an asset-only
+# rule would admit for some submitter: case -> (tx type, asset id).
+RESERVED_WRITES = {
+    "update-closed-session": (ASSET_UPDATE, SESSION_ASSET_PREFIX + (b"s" * 16).hex()),
+    "delete-closed-session": (ASSET_DELETE, SESSION_ASSET_PREFIX + (b"s" * 16).hex()),
+    "create-session": (ASSET_CREATE, SESSION_ASSET_PREFIX + (b"n" * 16).hex()),
+    "update-code": (ASSET_UPDATE, led.CODE_ASSET_PREFIX + (b"u" * 16).hex()),
+    "delete-code": (ASSET_DELETE, led.CODE_ASSET_PREFIX + (b"p" * 16).hex()),
+    "create-code": (ASSET_CREATE, led.CODE_ASSET_PREFIX + (b"q" * 16).hex()),
+}
+
+
+class TestReservedKeyRanges:
+    """Only PolChaincode writes pol-session-* and pol-code-* ids."""
+
+    @pytest.mark.parametrize("who", ["uav", "platform"])
+    @pytest.mark.parametrize("case", sorted(RESERVED_WRITES))
+    def test_client_write_refused_live_and_in_replay(self, pol_lg, alice, pad, case, who,
+                                                     tmp_path):
+        request = _closed_session(pol_lg, alice, pad)
+        tx_type, asset_id = RESERVED_WRITES[case]
+        # A forged session record: the request plus an accepting verdict.
+        forged = request + encode_pol_verdict(b"s" * 16, ACCEPTING_VERDICT)
+        payload = (encode_asset_delete_payload(asset_id) if tx_type == ASSET_DELETE
+                   else encode_asset_payload(asset_id, forged))
+        submitter = alice if who == "uav" else pad
+        before = (_heights(pol_lg), pol_lg.assets_snapshot("pol"))
+        with pytest.raises(UnauthorizedError, match="key range"):
+            pol_lg.submit_transaction(submitter, "pol", tx_type, payload)
+        assert (_heights(pol_lg), pol_lg.assets_snapshot("pol")) == before
+        rec = _next_record(pol_lg, submitter, "pol", tx_type, payload)
+        result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
+        _fails_at(result, rec, "key range")
+
+    def test_request_writes_session_and_code_entries(self, pol_lg, alice, pad):
+        request = _closed_session(pol_lg, alice, pad)
+        assets = pol_lg.assets_snapshot("pol")
+        session = assets.pop(SESSION_ASSET_PREFIX + (b"s" * 16).hex())
+        assert (session.owner, session.version) == (pad.name, 2)
+        assert session.data == request + encode_pol_verdict(b"s" * 16, REJECTING_VERDICT)
+        assert sorted(assets) == sorted(led.CODE_ASSET_PREFIX + code.hex()
+                                        for code in (b"u" * 16, b"p" * 16))
+
+    def test_replay_rebuilds_code_entries(self, pol_lg, alice, pad, tmp_path):
+        _closed_session(pol_lg, alice, pad)
+        path = tmp_path / "a.log"
+        pol_lg.write_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=standard_chaincodes)
+        assert result.ok, result.message
+        assert result.assets == {ch: pol_lg.assets_snapshot(ch) for ch in led.CHANNEL_ROLES}
+        assert sum(a.startswith(led.CODE_ASSET_PREFIX) for a in result.assets["pol"]) == 2
+
+    @pytest.mark.parametrize("who", [sim.UAV_IDENTITY, sim.PLATFORM_IDENTITY])
+    def test_sim_run_session_rewrite_refused_live_and_in_replay(self, who, tmp_path):
+        # The UAV (or platform) of a fig4 run rewrites a closed session
+        # record to carry an accepting verdict.
+        lg = sim.run(sim.get_preset("fig4"), seed_override=3).ledger
+        asset_id, closed = next((a_id, a) for a_id, a in lg.assets_snapshot("pol").items()
+                                if a_id.startswith(SESSION_ASSET_PREFIX) and a.version == 2)
+        sid = bytes.fromhex(asset_id[len(SESSION_ASSET_PREFIX):])
+        forged = closed.data[:-49] + encode_pol_verdict(sid, ACCEPTING_VERDICT)
+        role = Role.UAV if who == sim.UAV_IDENTITY else Role.PLATFORM
+        submitter = issue_identity(lg._seed, who, role, 0)  # its key derives from (seed, name)
+        payload = encode_asset_payload(asset_id, forged)
+        before = (_heights(lg), lg.assets_snapshot("pol"))
+        with pytest.raises(UnauthorizedError, match="key range"):
+            lg.submit_transaction(submitter, "pol", ASSET_UPDATE, payload)
+        assert (_heights(lg), lg.assets_snapshot("pol")) == before
+        rec = _next_record(lg, submitter, "pol", ASSET_UPDATE, payload)
+        _fails_at(_replay_with(lg, rec, tmp_path / "a.log", standard_chaincodes),
+                  rec, "key range")
+
+    def test_chaincodes_hold_no_state(self):
+        assert vars(PolChaincode()) == {} and vars(led.AssetChaincode()) == {}
+
+    def test_one_chaincode_per_tx_type(self, pol_lg):
+        with pytest.raises(ValueError, match="already have a chaincode"):
+            pol_lg.install_chaincode(led.DEFAULT_CHANNEL, PolChaincode())
+        assert pol_lg._state.channel("pol").chaincodes.keys() == set(
+            led.AssetChaincode.TX_TYPES + PolChaincode.TX_TYPES)
 
 
 class TestReplayForgery:
@@ -583,6 +686,19 @@ class TestReplayForgery:
         rec = _next_record(pol_lg, pad, "pol", TX_POL_VERDICT, payload)
         result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
         _fails_at(result, rec, "bad verdict payload")
+
+    def test_overflowing_verdict_fails_cli_replay(self, pol_lg, alice, pad, tmp_path):
+        _, numbers = IMPOSSIBLE_VERDICTS["overflowing-distance"]
+        payload = b"s" * 16 + b"\x00" + struct.pack(">dddd", *numbers)
+        pol_lg.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
+        rec = _next_record(pol_lg, pad, "pol", TX_POL_VERDICT, payload)
+        path = tmp_path / "a.log"
+        _replay_with(pol_lg, rec, path, standard_chaincodes)
+        proc = subprocess.run([sys.executable, "-m", "uwbpol", "replay", "--audit", str(path)],
+                              capture_output=True, text=True, timeout=120, env=cli_env())
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "replay FAILED at height 2 on channel 'pol': bad verdict payload" in proc.stderr
 
     @pytest.mark.parametrize("ts", [math.inf, -math.inf])
     def test_infinite_claim_timestamp(self, pol_lg, alice, pad, ts, tmp_path):

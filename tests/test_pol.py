@@ -1,5 +1,6 @@
 """Handshake: codes, payloads, state machines, validation, full sessions."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -137,19 +138,20 @@ class TestValidateLocation:
         with pytest.raises(ValueError):
             validate_location(CLAIM, _estimate(3.95, 2.705), buffer=0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e154, 1.3e154])
+    def test_likelihood_at_one_sigma_for_every_radius(self, scale):
+        # 2 * r**2 overflows past r ~ 9.5e153 while r**2 stays finite.
+        assert pol.claim_likelihood(scale, scale) == pytest.approx(math.exp(-0.5))
+
 
 def uav_session(state=SessionState.INIT, **kw):
-    fields = dict(role="uav", session_id=SID, uav_id="uav-1", platform_id="pad-1",
+    fields = dict(session_id=SID, uav_id="uav-1", platform_id="pad-1",
                   code_uav=CODE_U, code_platform=CODE_P, state=state, claim=CLAIM)
     fields.update(kw)
     return PolSession(**fields)
 
 
-def platform_session(state=SessionState.INIT, **kw):
-    fields = dict(role="platform", session_id=SID, uav_id="uav-1", platform_id="pad-1",
-                  code_uav=CODE_U, code_platform=CODE_P, state=state, claim=CLAIM)
-    fields.update(kw)
-    return PolSession(**fields)
+platform_session = uav_session  # both parties hold the same session fields
 
 
 UAV_CTX = UavContext("uav")
@@ -224,7 +226,7 @@ class TestUavMachine:
 class TestPlatformMachine:
     def test_request_event_sends_poll_with_platform_code(self):
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
-        blank = PolSession("platform", b"\x00" * 16, "", "pad-1", b"\x00" * 16,
+        blank = PolSession(b"\x00" * 16, "", "pad-1", b"\x00" * 16,
                            b"\x00" * 16, state=SessionState.REQUESTED)
         s, actions = platform_step(blank, RequestIn(req), PLATFORM_CTX)
         assert s.state is SessionState.POLLING
@@ -319,7 +321,8 @@ class TestPolChaincode:
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
         lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
         asset = lg.query_asset("pol", "pol-session-" + SID.hex())
-        assert asset.version == 1 and asset.owner == "uav-1"
+        # Owned by the platform the request names: only it may close the session.
+        assert asset.version == 1 and asset.owner == "pad-1"
 
     def test_code_reuse_rejected(self):
         lg, uav, _ = self._ledger()
@@ -344,6 +347,16 @@ class TestPolChaincode:
         with pytest.raises(ChaincodeError):
             lg.submit_transaction(pad, "pol", "POL_VERDICT",
                                   encode_pol_verdict(SID, bad))
+
+    def test_verdict_with_radius_near_overflow_judged_on_its_numbers(self):
+        lg, uav, pad = self._ledger()
+        req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
+        lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
+        with pytest.raises(ChaincodeError, match="likelihood"):
+            lg.submit_transaction(pad, "pol", "POL_VERDICT", encode_pol_verdict(
+                SID, Verdict(False, 1e154, 1e154, 1.0, 1.0)))
+        lg.submit_transaction(pad, "pol", "POL_VERDICT", encode_pol_verdict(
+            SID, Verdict(False, 1e154, 1e154, 1.0, math.exp(-0.5))))
 
     def test_double_verdict_rejected(self):
         lg, uav, pad = self._ledger()
@@ -477,6 +490,34 @@ class TestRunSession:
         assert out.uav.state is SessionState.ABORTED
         assert out.uav.abort_reason == "unauthorized"
         assert lg.height("pol") == 0  # nothing was committed
+
+    # A refused submit is traced from the state it came from, then the session aborts.
+    REFUSED_REQUEST_TRACE = [
+        ("platform", "INIT", "Start", "REQUESTED", ()),
+        ("uav", "INIT", "Start", "REQUESTED", ("SubmitTx", "SetTimer")),
+        ("uav", "REQUESTED", "SubmitRejected", "ABORTED", ()),
+    ]
+
+    def test_unauthorized_submit_traced_from_its_state(self):
+        lg, channel, uav_party, platform_party, clock = session_world()
+        foreign = Ledger(seed=777).enroll_identity("intruder", Role.UAV)
+        claim = LocationClaim(Position(3.95, 2.705), clock.now_ns)
+        out = run_session(UavParty(foreign, uav_party.node), platform_party, lg, channel,
+                          claim, random.Random(1), buffer=1.0)
+        assert out.uav.abort_reason == "unauthorized"
+        assert [entry[1:] for entry in out.trace] == self.REFUSED_REQUEST_TRACE
+
+    def test_chaincode_reject_traced_from_its_state(self):
+        lg, channel, uav_party, platform_party, clock = session_world()
+        claim = LocationClaim(Position(3.95, 2.705), clock.now_ns)
+        run_session(uav_party, platform_party, lg, channel, claim,
+                    random.Random(1), buffer=1.0)
+        # The same session rng draws the same session id, which is already open.
+        out = run_session(uav_party, platform_party, lg, channel, claim,
+                          random.Random(1), buffer=1.0)
+        assert out.uav.abort_reason == "chaincode-reject"
+        assert lg.height("pol") == 2
+        assert [entry[1:] for entry in out.trace] == self.REFUSED_REQUEST_TRACE
 
     def test_sessions_never_share_codes(self):
         lg, channel, uav_party, platform_party, clock = session_world()

@@ -9,7 +9,7 @@ import pytest
 
 from uwbpol import ledger, pol, sim
 from uwbpol.errors import ScenarioError
-from uwbpol.geo import Position
+from uwbpol.geo import AnchorSet, Position
 from uwbpol.sim import (
     ATTACK_CODE_REPLAY,
     ATTACK_GNSS_SPOOF,
@@ -222,6 +222,28 @@ class TestScenarioInvariants:
                 replace(sc, **changes)
         with pytest.raises(ScenarioError, match="attack.offset"):
             AttackSpec(ATTACK_CODE_REPLAY, 0, Position(1.0, 0.0))
+
+    def test_coordinates_above_ceiling_refused(self):
+        sc = get_preset("fig4")
+        far = sim.MAX_COORD_M * 2
+        shifted = AnchorSet([(a_id, Position(p.x + far, p.y)) for a_id, p in sc.anchors.anchors])
+        for changes, path in (
+                # Far enough that claim_likelihood's square of it overflows.
+                ({"attack": AttackSpec(ATTACK_GNSS_SPOOF, 0, Position(1e200, 0.0))},
+                 "attack.offset"),
+                ({"attempts": (sim.Attempt(Position(0.0, -far)),)}, r"attempts\[0\]\.true"),
+                ({"attempts": (sim.Attempt(Position(0.0, 0.0), Position(far, 0.0)),)},
+                 r"attempts\[0\]\.claim"),
+                ({"anchors": shifted}, r"anchors\[0\]")):
+            with pytest.raises(ScenarioError, match=rf"{path}: coordinates must be within"):
+                replace(sc, **changes)
+        with pytest.raises(ScenarioError, match=r"attempts\[0\]\.true"):
+            sim.apply_parameter(sc, "distance_scale", 1e7)
+
+    def test_spoof_at_coordinate_ceiling_runs(self):
+        offset = Position(sim.MAX_COORD_M, -sim.MAX_COORD_M)
+        sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_GNSS_SPOOF, 0, offset))
+        assert run(sc, seed_override=1).records[0].terminal_state == "REJECTED"
 
     def test_sweep_values_checked(self):
         sc = get_preset("fig4")
