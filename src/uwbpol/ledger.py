@@ -17,6 +17,11 @@ the low half of the group order. Verification refuses any other length and
 any high s, as Fabric's crypto provider does, so a committed signature has
 exactly one accepted encoding.
 
+One record enrolls an identity: the root authority's signed ENROLL on
+`_members`, which carries the certificate and is its only certification,
+as a Fabric channel admits a member by a config transaction that its admins
+sign. The root's own ENROLL comes first; only the root enrolls after it.
+
 Every admission decision is made in one place, LedgerState.commit: the live
 ledger commits through it, and audit replay re-commits each logged record
 through it, so the two accept exactly the same transactions.
@@ -34,7 +39,7 @@ import base64
 import binascii
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -116,15 +121,15 @@ def read_lps(buf: bytes, offset: int) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class Certificate:
+    """An enrollee's name, role, key and validity; its ENROLL record certifies it."""
+
     subject: str
     role: Role
     public_key: bytes
     valid_from: int
     valid_to: int
-    issuer_signature: bytes
 
-    def canonical_bytes(self) -> bytes:
-        """Everything the issuer signs, in fixed field order."""
+    def encode(self) -> bytes:
         return (
             lps(self.subject)
             + lps(self.role.value)
@@ -132,33 +137,27 @@ class Certificate:
             + struct.pack(">QQ", self.valid_from, self.valid_to)
         )
 
-    def encode(self) -> bytes:
-        return self.canonical_bytes() + lp(self.issuer_signature)
-
     @staticmethod
     def decode(buf: bytes) -> "Certificate":
         subject, off = read_lps(buf, 0)
         role_name, off = read_lps(buf, off)
         public_key, off = read_lp(buf, off)
-        if off + 16 > len(buf):
-            raise ValueError("truncated certificate validity window")
+        if len(buf) - off != 16:
+            raise ValueError(f"validity window is {len(buf) - off} bytes, not 16")
         valid_from, valid_to = struct.unpack_from(">QQ", buf, off)
-        off += 16
-        signature, off = read_lp(buf, off)
-        if off != len(buf):
-            raise ValueError("trailing bytes after certificate")
-        return Certificate(subject, Role(role_name), public_key, valid_from, valid_to, signature)
+        return Certificate(subject, Role(role_name), public_key, valid_from, valid_to)
 
 
 @dataclass(frozen=True)
 class Identity:
     """An enrolled party: certificate plus the locally held signing key."""
 
-    name: str
-    role: Role
-    public_key: bytes
     certificate: Certificate
     signing_key: ec.EllipticCurvePrivateKey = field(repr=False, compare=False)
+
+    name = property(lambda self: self.certificate.subject)
+    role = property(lambda self: self.certificate.role)
+    public_key = property(lambda self: self.certificate.public_key)
 
     def sign(self, data: bytes) -> bytes:
         return _sign(self.signing_key, data)
@@ -326,7 +325,6 @@ class LedgerState:
         self.registry: dict[str, Certificate] = {}
         # Each registered certificate's key, parsed once when it is enrolled.
         self.keys: dict[str, ec.EllipticCurvePublicKey] = {}
-        self.authority_key: Optional[ec.EllipticCurvePublicKey] = None
         # chaincode_factory gives the default channel's chaincode set; the
         # membership channel always runs the asset chaincode alone.
         self.channels = {
@@ -348,11 +346,12 @@ class LedgerState:
         The signed bytes are built here, once, from tx's own fields; they
         give both the tx id and the bytes the signature must cover. Identity
         checks use the registered certificate, never one the submitter
-        presents; the first ENROLL on the membership channel bootstraps the
-        self-signed authority. An ENROLL's key is parsed here, once, and
-        must be an uncompressed P-256 point. Every other record needs the
-        chaincode that its channel maps its tx type to. Any failure
-        raises a LedgerError and leaves the state untouched.
+        presents. The first ENROLL on the membership channel enrolls the
+        root authority under its own key; every later one must come from
+        that root. An ENROLL's key is parsed here, once, and must be an
+        uncompressed P-256 point. Every other record needs the chaincode
+        that its channel maps its tx type to. Any failure raises a
+        LedgerError and leaves the state untouched.
         """
         _check_log_field("submitter", tx.submitter)
         _check_log_field("tx type", tx.tx_type)
@@ -378,10 +377,12 @@ class LedgerState:
             if enrollee.subject in self.registry:
                 raise AlreadyEnrolledError(f"{enrollee.subject!r} is already enrolled")
             enrollee_key = _public_key(enrollee.public_key)
-            if self.authority_key is None:
+            if not ch.log:  # only the root's own ENROLL can be the channel's first record
                 if enrollee.subject != tx.submitter or enrollee.role is not Role.AUTHORITY:
                     raise UnauthorizedError("first enrollment must be the self-signed authority")
                 cert, key = enrollee, enrollee_key
+            elif tx.submitter != ch.log[0].submitter:
+                raise UnauthorizedError(f"only the root authority {ch.log[0].submitter!r} enrolls")
         if cert is None:
             raise UnauthorizedError(f"submitter {tx.submitter!r} not enrolled")
         if not cert.valid_from <= tx.timestamp <= cert.valid_to:
@@ -395,10 +396,6 @@ class LedgerState:
         if self.journal and tx.timestamp < self.journal[-1][1].timestamp:
             raise InvalidTransactionError("timestamp earlier than the previous commit")
         _verify(key, tx.signature, signed, "transaction signature")
-        if enrollee is not None:
-            _verify(self.authority_key or enrollee_key,
-                    enrollee.issuer_signature, enrollee.canonical_bytes(),
-                    "certificate signature")
 
         chaincode = ch.chaincodes.get(tx.tx_type)
         if chaincode is not None:
@@ -409,21 +406,16 @@ class LedgerState:
         if enrollee is not None:
             self.registry[enrollee.subject] = enrollee
             self.keys[enrollee.subject] = enrollee_key
-            if self.authority_key is None:
-                self.authority_key = enrollee_key
         ch.log.append(tx)
         self.journal.append((height, tx))
         return height
 
 
-def issue_identity(seed: int, name: str, role: Role, valid_from: int,
-                   authority: Optional[Identity] = None) -> Identity:
+def issue_identity(seed: int, name: str, role: Role, valid_from: int) -> Identity:
     """name's keypair and certificate as a ledger built with seed issues them.
 
     The keypair derives from (seed, name) alone; no randomness is drawn.
-    The certificate is valid for CERT_VALIDITY_NS from valid_from and is
-    signed by authority, or by the new key itself when authority is None
-    (an authority's own certificate).
+    The certificate is valid for CERT_VALIDITY_NS from valid_from.
     """
     key_material = hashlib.sha256(
         b"uwbpol-ledger-keys|" + int(seed).to_bytes(8, "big", signed=False)
@@ -432,10 +424,8 @@ def issue_identity(seed: int, name: str, role: Role, valid_from: int,
     key = ec.derive_private_key(int.from_bytes(digest, "big") % (_ORDER - 1) + 1, _CURVE)
     public = key.public_key().public_bytes(
         serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
-    unsigned = Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS, b"")
-    issuer = key if authority is None else authority.signing_key
-    cert = replace(unsigned, issuer_signature=_sign(issuer, unsigned.canonical_bytes()))
-    return Identity(name, role, public, cert, key)
+    return Identity(Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS),
+                    key)
 
 
 class Ledger:
@@ -459,8 +449,8 @@ class Ledger:
     # -- identities --
 
     def enroll_identity(self, name: str, role: Role) -> Identity:
-        """Create a keypair and authority-signed certificate for name and enroll it."""
-        identity = issue_identity(self._seed, name, role, self.clock.now_ns, self.authority)
+        """Create a keypair and certificate for name and enroll it as the authority."""
+        identity = issue_identity(self._seed, name, role, self.clock.now_ns)
         self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
                                 identity.certificate.encode())
         return identity

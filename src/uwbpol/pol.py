@@ -194,6 +194,11 @@ def validate_location(claim: LocationClaim, estimate: EstimateResult,
     Accepts iff the claim-to-estimate distance is within the error buffer.
     The likelihood score of `claim_likelihood` lets callers report a smooth
     confidence instead of the bare boolean.
+
+    An accepting verdict proves that a holder of the session codes answered
+    within `max_range` of the anchors, with ranges that fit the claim. It
+    does not prove the UAV's position: a UAV that times its own replies can
+    shift each anchor's two-way range to fit a claim where it is not.
     """
     if buffer <= 0:
         raise ValueError("buffer must be > 0")
@@ -224,6 +229,8 @@ class PolChaincode:
     only, closes the session. It must be self-consistent: accepted exactly
     when distance <= buffer, and its likelihood within LIKELIHOOD_TOL of
     what `claim_likelihood` gives for its distance and error radius.
+    An accepting verdict attests what `validate_location` proves, which is
+    not the UAV's position.
     """
 
     TX_TYPES = (TX_POL_REQUEST, TX_POL_VERDICT)
@@ -448,7 +455,8 @@ def platform_step(session: PolSession, event, ctx: PlatformContext):
     if st == SessionState.INIT and isinstance(event, Start):
         return _goto(session, SessionState.REQUESTED), []
 
-    if st == SessionState.REQUESTED and isinstance(event, RequestIn):
+    if (st == SessionState.REQUESTED and isinstance(event, RequestIn)
+            and event.request.platform_id == session.platform_id):
         req = event.request
         armed = replace(
             session,
@@ -571,8 +579,8 @@ def run_session(
     )
     platform_rt = _PartyRuntime(
         "platform",
-        PolSession(b"\x00" * 16, "", platform_party.identity.name,
-                   b"\x00" * 16, b"\x00" * 16),
+        # No session id until a request arms it, so no 16-byte verdict id matches.
+        PolSession(b"", "", platform_party.identity.name, b"\x00" * 16, b"\x00" * 16),
         platform_step,
         PlatformContext(platform_party.anchor_set,
                         platform_party.anchor_nodes[0].node_id,
@@ -581,6 +589,7 @@ def run_session(
     )
     parties = {"uav": uav_rt, "platform": platform_rt}
     read_height = lg.height(DEFAULT_CHANNEL)
+    platform_requested = False
     radios = {"uav": uav_party.node, "platform": platform_party.anchor_nodes[0]}
     pending: deque = deque()
     trace: list = []
@@ -640,19 +649,20 @@ def run_session(
 
     def pump_ledger() -> None:
         # Read what was committed since the last read, decode each record once
-        # and route it to whichever machine is expecting it; records for other
-        # sessions or states are not for us.
-        nonlocal read_height
+        # and route it to whichever machine is expecting it; the platform gets
+        # only the first request that names it. Other records are not for us.
+        nonlocal read_height, platform_requested
         txs = lg.transactions(DEFAULT_CHANNEL, read_height)
         read_height += len(txs)
         for tx in txs:
             if tx.tx_type == TX_POL_REQUEST:
                 req = decode_pol_request(tx.payload)
-                for rt in (uav_rt, platform_rt):
-                    if rt.session.state is SessionState.REQUESTED and (
-                        rt is platform_rt or req.session_id == rt.session.session_id
-                    ):
-                        pending.append((rt.key, RequestIn(req)))
+                if (uav_rt.session.state is SessionState.REQUESTED
+                        and req.session_id == uav_rt.session.session_id):
+                    pending.append(("uav", RequestIn(req)))
+                if not platform_requested and req.platform_id == platform_rt.session.platform_id:
+                    platform_requested = True
+                    pending.append(("platform", RequestIn(req)))
             elif tx.tx_type == TX_POL_VERDICT:
                 sid, verdict = decode_pol_verdict(tx.payload)
                 for rt in (uav_rt, platform_rt):

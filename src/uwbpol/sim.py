@@ -376,11 +376,8 @@ def run(scenario: Scenario, seed_override: Optional[int] = None) -> RunReport:
                 claim_pos = Position(claim_pos.x + off.x, claim_pos.y + off.y,
                                      claim_pos.z + off.z)
             elif attack.kind == ATTACK_WRONG_IDENTITY:
-                # Certified by another authority, so never enrolled here.
-                rogue_authority = issue_identity(seed, "rogue-authority", Role.AUTHORITY,
-                                                 clock.now_ns)
-                identity = issue_identity(seed, "rogue-uav", Role.UAV, clock.now_ns,
-                                          rogue_authority)
+                # A well-formed identity that this ledger never enrolled.
+                identity = issue_identity(seed, "rogue-uav", Role.UAV, clock.now_ns)
             elif attack.kind == ATTACK_CODE_REPLAY:
                 if last_session is not None:
                     stale_sid, stale_code = last_session

@@ -13,6 +13,9 @@ moved. A change that moves an output on purpose updates the pin in the same
 commit and says why. Ledger asset state is not pinned: the ledger's key
 layout may change without changing an output.
 
+`PYTHONPATH=src python tests/test_golden.py` prints the current pins in
+this file's own literal format, to paste over the old ones.
+
 The digests hold for one toolchain: CPython 3.11.7, `cryptography` 48, and
 glibc 2.36's libm on x86-64 Linux. `random.gauss` and `gammavariate` call
 libm, and `x**2` differs from `x*x` on some floats, so another toolchain
@@ -20,9 +23,13 @@ may differ in the last bit. Such a mismatch fails with the file names; it
 is not skipped.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import safety_model
 from uwbpol import cli, sim
@@ -37,53 +44,53 @@ ATTACKS = {
 
 GOLDEN_FILES = {
     "fig4-honest-0.csv": "bccea7636a09e033cc4eb5a48f3964cdb4ca8e7fbb1233d5054927c1153c5e98",
-    "fig4-honest-0.log": "472f16d97a24aa395ee10d3ca4ca1ffe169d5722bc36fed64b91c458ad84965a",
+    "fig4-honest-0.log": "75ae178ef97e7f4597786ee9b866e91707f28ef43aac1767d3b07a5020805a0f",
     "fig4-honest-1.csv": "09375282108267eaca5d78a325517e5bc9aa939031183aa3b2b818a7d811ef23",
-    "fig4-honest-1.log": "2fe2f2a8c03acb515862dae6292887eaa8cce8484567af4f06d9c5e458b4a860",
+    "fig4-honest-1.log": "080234b4746a212465842ce97b036909b3c784c9f6efd3395a58fc861a9bbc26",
     "fig4-honest-2.csv": "33a852a8dac5ee14c577ea9b56ab56aa85b374b5ee855b6bb5dc1f7b6658b3b4",
-    "fig4-honest-2.log": "f73858441bfe4a64c472ea05da0aeb6b0a3c2f47b3639d9cd66c61f19670dfaa",
+    "fig4-honest-2.log": "bb5c71ef09773b4bee3317f3a79570a80aa61782823f95236ccb73b46b68f8c3",
     "fig4-identity-0.csv": "5885e9c8f201b7cf45ef1070416c0f3923cebd95b98dcc5bae772a6c6b6cbeae",
-    "fig4-identity-0.log": "7834ac5866187d5f4f5ea15af9eb4ac95729c07c8ebfc04e863ec49fb6b372d5",
+    "fig4-identity-0.log": "a4c0f2968b70a2ab0eb97965db46a1bc1795d7ff8a1f62676bd40aa511ed30d7",
     "fig4-identity-1.csv": "cc7d6cf0c48d17e492b5799040524932d856e7c92774d4c208823f3ffdc3a377",
-    "fig4-identity-1.log": "1de500a447df870015392b28dd3323e8784a8321fb480e1455ed0eb7cd8f2f0f",
+    "fig4-identity-1.log": "709f30f6dd580ff53b982693fb85c9ad39a004258e8aa8423ab46d56e56074e4",
     "fig4-identity-2.csv": "9de611f357ce3b489aef78d81ff7615aa9955e6c061e1afa054dc0d519918591",
-    "fig4-identity-2.log": "3ff300f26097054605768d32f4dd0e363faa4762bd4582e9a0a9dd9362f6bed5",
+    "fig4-identity-2.log": "03e67f83b3c484688b1fb02e9606b245520400ba7a44a7bd4d1eb4f9d7f108f9",
     "fig4-replay-0.csv": "7fc542968c67a8676fdbcede0a86fb4d34e2cd896a67034415b414d0ff0e0ae6",
-    "fig4-replay-0.log": "75f4dda37adebf29a6a9f6eb994fc7db537de2a8c73fe3963a5e73c40ed4e04d",
+    "fig4-replay-0.log": "49e2507332b5369d0f37401d56ce0520960254f9fc7e1309d255f81e72c0cf53",
     "fig4-replay-1.csv": "132a47e12031474b9747181ae687338bc73b4b8a2461fc10d102b1dd4c802956",
-    "fig4-replay-1.log": "6279fb1059169de7beb927d50a3ea4724696191f30140d1732f968b0d32d2f11",
+    "fig4-replay-1.log": "1040e03dedc0e1a4bc4d969827c7bb6c6f3169c8a39e52a09c00290546732c23",
     "fig4-replay-2.csv": "fd66858a330156f651f5cef9e4ca0430c59f4a473e652285fa9e4ab7288e1423",
-    "fig4-replay-2.log": "61cfa33efed8b359dd7a7b9751c34205533997e6e2fb03afc401b44f7fdc0659",
+    "fig4-replay-2.log": "ff77458f05b516782192ba56e176f530b83028c049053948fbba7a70456e69b6",
     "fig4-spoof-0.csv": "299f855c9a7e07b2a6170d9992fa6cb7b13873b922695c0d6f66c82549f1cc06",
-    "fig4-spoof-0.log": "f1d357a9ac8a945a2f0cb5418c10432c1a38337a0806d739fa98b4cf820ce33c",
+    "fig4-spoof-0.log": "c131c742ed55ad90387d53f7760a593fc3f733e66107244ff650f5b2e0a43464",
     "fig4-spoof-1.csv": "b5e22ea6f87635285d1897577bcc1d8409ad9adeb4647ededb6d8af9a75013a5",
-    "fig4-spoof-1.log": "ef2c117d0193a1389cd7bdc4cd126d33d7f71658a6ca4fdccefe961543517589",
+    "fig4-spoof-1.log": "1549b0d1f2a96653ec380622d66b25ce943543bdc9b2f7b0acd3815da4ad3a19",
     "fig4-spoof-2.csv": "05b5754e4e463549ce94e37f894592f6573444b04a83428857356ed8d7639311",
-    "fig4-spoof-2.log": "3f4a4cdbb8e49d2c327fb807c6983c16de536d7a9f42d6fc9fc3805579a0a3cb",
+    "fig4-spoof-2.log": "69fd2209ac73685cc825f9fbea7bfeef0d191a10eb897e7614f59cb76818d2b1",
     "fig5-honest-0.csv": "43ea5ac9189fab2a2e61856a9449d43d9672a57d6995a88a2e52f5e7ae225d0a",
-    "fig5-honest-0.log": "6995b429cb2eec1c0b832fd26f07fb0c66bdadc9a5677e35c711501a03ee18b9",
+    "fig5-honest-0.log": "9b22225b801a60ca618d10996224f2689a775efe447fc6391e9c9e1f9ea129aa",
     "fig5-honest-1.csv": "028498f8a0d32d1144bf49d69236c0d62a769581c9108b8fcd76f64d5c1c57cc",
-    "fig5-honest-1.log": "c702e753cf63f567b9d3bb6d1c0a05771c1796b4c5457ac3a66236ab5828cdb1",
+    "fig5-honest-1.log": "77fd2dca8d30a4357f88480fd11536feb6920b500a4ff9e52dc8290ac0758b62",
     "fig5-honest-2.csv": "4ba8bd0c7268084ac0edebd0822e6d014309cfcd2927ab88a6323edd88ad5237",
-    "fig5-honest-2.log": "a32a489a1e9417c6dd2cbb081aa6f7d0fa784a5b4a3b42baf7fe2e5c99666f01",
+    "fig5-honest-2.log": "280eeee7ec7b3032d24e59da38fe2283f1eb41fbd51311aa0d828439cb50eca1",
     "fig5-identity-0.csv": "ebe28df676c5e0be8d156cb0d817c355dd1147f1c56fdfb72c9557c63c8c4ab2",
-    "fig5-identity-0.log": "58e89700809815a0a57efd6f7d9b4fbd3a00bcf5c9acbba0e69f3fc261047bfc",
+    "fig5-identity-0.log": "fb72490d5af661ae02b0b170720fdbcf3bee525512eca86b7c5ebeced9bddbed",
     "fig5-identity-1.csv": "c979336f6ca803d6944a1e65a3e150ab219c418e3578c28881077804037fcae6",
-    "fig5-identity-1.log": "cddac318949990d0cb357dd131760739e2f480459fb12ad44727022f5d27638d",
+    "fig5-identity-1.log": "afb59031d544558a7f12770dcad7f3f7e31cd065d01208416a9e438464f19d06",
     "fig5-identity-2.csv": "f8dafd3c4cadb3bf350f5461bf17b68bb068ad5eadf5c2c80584d19037ed0111",
-    "fig5-identity-2.log": "ce3e928674e3f8ede353679509edf8a88ecf84e6b32fb7f69e8eaa8427c76c57",
+    "fig5-identity-2.log": "8c7691cf6c048f315a2f35a7e8381e436052d39fe86228bfd28c3fc7e6225c34",
     "fig5-replay-0.csv": "77c427b9b8a0d4e474eb1904b15ec6f5ad963233b14633151807329a662022e5",
-    "fig5-replay-0.log": "d27e8ea2baa6678994644d9544e543cc52c83270a6e6ce04182cbf3e4985d95d",
+    "fig5-replay-0.log": "54fa2bcf09ae61669069b27b7de5a53148f1845c1c339dac9b9afbe406a46667",
     "fig5-replay-1.csv": "67675c9dc141077f94515335cf66031aeb1d250bf3cb89bd4852595929adfc92",
-    "fig5-replay-1.log": "cb879c7da9d3c9fa40d8c73b9e178f82374bf4113ee46c3033c28a1a8e1df99e",
+    "fig5-replay-1.log": "3daa78928e6aeedc3e138dbc452407147fe596482d18bcb8288b72f1bffdb4c2",
     "fig5-replay-2.csv": "5da94efcd84b1aabcf2f95bd0cddd20b0e61cb455e5b7fc9eb46bd80dc6d836f",
-    "fig5-replay-2.log": "635cd099edfbc5671e12d45ccdeffa91daae34297b9c075edc7a8275b5002319",
+    "fig5-replay-2.log": "a106cc6693cca06ec8ef7d881b0dece44377bbeb0cb11c410b08ea6e6fdcdd11",
     "fig5-spoof-0.csv": "e1b3029fee5445cd75a54d72fd8266eb9b1c983db0e409fc57ab575b699a6730",
-    "fig5-spoof-0.log": "f2d5f7ab0d5dd2d9ff255161152bff971b502e9f23826aba43c07bf62e10fc30",
+    "fig5-spoof-0.log": "04fb91e4d851b4a7bfae1e7ea97bb0783ae8d72a379d660126ed259cef250a29",
     "fig5-spoof-1.csv": "f8a756b14a0b09b2224dbf3673b5b87791767bcadd9fca4c871b371ff69476b7",
-    "fig5-spoof-1.log": "099ac01c746f75f7c1c8c9f873c8cfa8e0440b1605ec482d1b388fe297eab4f7",
+    "fig5-spoof-1.log": "e70abf6ec86fad2bfd540776114f3598c72aadfc73be496f99369561e007cd6f",
     "fig5-spoof-2.csv": "28e88884f6fa5fa56f7dfc7bb8f000ce420062f489da189c374eacf1c75526ac",
-    "fig5-spoof-2.log": "551366f2405e6fb44f43eebc36f95e023ed1ab228945a242221df5bf96964e0e",
+    "fig5-spoof-2.log": "5c217961c3ca5c91ec3ac16069641bc2da086061a899af7f54e16301c6a0e9c3",
     "sweep-noise_sigma.csv": "6f08bd017d023c4334e20a0fa7b6b7c0a5b0dfad9e4c1a6ad37a8cec7914bd4f",
 }
 
@@ -159,7 +166,27 @@ def test_run_reports_exact():
     assert _reports_digest() == GOLDEN_REPORTS
 
 
-def test_safety_exploration_counts():
+def _exploration_counts() -> tuple:
     report = safety_model.explore()
-    assert (report.states, report.transitions, report.authorized_states,
-            len(report.violations)) == GOLDEN_EXPLORATION
+    return (report.states, report.transitions, report.authorized_states,
+            len(report.violations))
+
+
+def test_safety_exploration_counts():
+    assert _exploration_counts() == GOLDEN_EXPLORATION
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        files = _file_digests(Path(tmp))  # the CLI's summaries go to the discarded buffer
+    print("GOLDEN_FILES = {")
+    for name in sorted(files):
+        print(f'    "{name}": "{files[name]}",')
+    print("}\n")
+    print(f'GOLDEN_REPORTS = "{_reports_digest()}"\n')
+    print(f"GOLDEN_EXPLORATION = {_exploration_counts()}"
+          "  # states, transitions, authorized, violations")
+
+
+if __name__ == "__main__":
+    main()

@@ -78,6 +78,11 @@ def pad(lg):
     return lg.enroll_identity("pad", Role.PLATFORM)
 
 
+def _with_cert(identity, **fields):
+    """identity's signing key under a certificate with fields changed."""
+    return replace(identity, certificate=replace(identity.certificate, **fields))
+
+
 def _submit_refused(lg, identity, message):
     before = _heights(lg)
     with pytest.raises(UnauthorizedError, match=message):
@@ -115,13 +120,12 @@ class TestIdentity:
         assert Certificate.decode(cert.encode()) == cert
 
     def test_ledger_issues_through_issue_identity(self):
-        # Keys derive from (seed, name) and RFC 6979 makes ECDSA signatures
-        # deterministic, so the same inputs give the same certificate.
+        # Keys derive from (seed, name) and a certificate carries no
+        # signature, so the same inputs give the same certificate.
         lg = Ledger(seed=5)
         now = lg.clock.now_ns
         alice = lg.enroll_identity("alice", Role.UAV)
-        assert alice.certificate == issue_identity(5, "alice", Role.UAV, now,
-                                                   lg.authority).certificate
+        assert alice.certificate == issue_identity(5, "alice", Role.UAV, now).certificate
         assert lg.authority.certificate == issue_identity(5, "authority", Role.AUTHORITY,
                                                           0).certificate
 
@@ -168,7 +172,8 @@ class TestSubmit:
         for identity, tx_type, payload in (
             (alice, ASSET_CREATE, b"x" * 70_000),
             (alice, "T" * 70_000, encode_asset_payload("x", b"d")),
-            (replace(alice, name="n" * 70_000), ASSET_CREATE, encode_asset_payload("x", b"d")),
+            (_with_cert(alice, subject="n" * 70_000), ASSET_CREATE,
+             encode_asset_payload("x", b"d")),
         ):
             with pytest.raises(InvalidTransactionError, match="unencodable"):
                 lg.submit_transaction(identity, "pol", tx_type, payload)
@@ -486,13 +491,12 @@ class TestLiveForgery:
                       "transaction signature invalid")
 
     def test_role_lie(self, lg, alice, tmp_path):
-        liar = replace(alice, role=Role.AUTHORITY,
-                       certificate=replace(alice.certificate, role=Role.AUTHORITY))
+        liar = _with_cert(alice, role=Role.AUTHORITY)
         self._refused(lg, liar, tmp_path / "a.log", "role UAV not admitted",
                       channel=led.MEMBERSHIP_CHANNEL)
 
     def test_name_not_matching_certificate(self, lg, alice, pad, tmp_path):
-        self._refused(lg, replace(alice, name="pad"), tmp_path / "a.log",
+        self._refused(lg, _with_cert(alice, subject="pad"), tmp_path / "a.log",
                       "transaction signature invalid")
 
     def test_uav_verdict_on_own_session(self, pol_lg, alice, pad):
@@ -780,12 +784,29 @@ class TestSignatureScheme:
                         b"sample", "kat")
 
     def test_authority_certificate_bytes_pinned(self):
-        # A change in key derivation or in the library's deterministic nonces
-        # would silently change every audit log; this pin fails instead.
+        # A change in key derivation would silently change every audit log;
+        # this pin fails instead. (The RFC 6979 vector above pins the nonces.)
         cert = issue_identity(0, "authority", Role.AUTHORITY, 0).certificate
-        assert len(cert.public_key) == 65 and len(cert.issuer_signature) == 64
+        assert len(cert.public_key) == 65
         assert hashlib.sha256(cert.encode()).hexdigest() == (
-            "1be05498009c4dfabbef10074c476c8f7c196a65c112c53a757abe17670a5e8d")
+            "b844009d80fbe2eec0a45b54dabaa5f53bfa16596b60971d30bfe2847eaa000f")
+
+    def test_one_sign_and_one_verify_per_record(self, monkeypatch):
+        # Each committed record is signed once and verified once; an
+        # enrollment's only signature is its ENROLL record's.
+        calls = {"sign": 0, "verify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(led, "_sign", counted("sign", led._sign))
+        monkeypatch.setattr(led, "_verify", counted("verify", led._verify))
+        report = sim.run(sim.get_preset("fig4"), seed_override=0)
+        assert calls == {"sign": 7, "verify": 7}
+        assert len(report.ledger._state.journal) == 7
 
 
 def _split(signature):
@@ -817,11 +838,52 @@ def _state_of(lg):
             {name: dict(ch.assets) for name, ch in state.channels.items()})
 
 
-def _authority_signed_certificate(lg, encoded):
-    """A certificate for "eve" that lg's authority signed over the key bytes encoded."""
+def _certificate(lg, encoded):
+    """A certificate for "eve" with the key bytes encoded, valid from lg's now."""
     now = lg.clock.now_ns
-    unsigned = Certificate("eve", Role.UAV, encoded, now, now + led.CERT_VALIDITY_NS, b"")
-    return replace(unsigned, issuer_signature=lg.authority.sign(unsigned.canonical_bytes()))
+    return Certificate("eve", Role.UAV, encoded, now, now + led.CERT_VALIDITY_NS)
+
+
+def _hostile_signature_refused(lg, identity, channel, tx_type, payload, mutate, path):
+    """mutate's encoding of the record's signature is refused live and in
+    replay, leaving the state as it was; the genuine encoding then commits."""
+    height = lg.height(channel) + 1
+    tx = _signed_tx(identity, channel, tx_type, payload, lg.clock.now_ns, height)
+    hostile = replace(tx, signature=mutate(tx.signature))
+    before = _state_of(lg)
+    with pytest.raises(UnauthorizedError, match="transaction signature invalid"):
+        lg._state.commit(hostile)
+    assert _state_of(lg) == before
+    rec = led.format_audit_record(height, hostile)
+    _fails_at(_replay_with(lg, rec, path), rec, "transaction signature invalid")
+    assert lg._state.commit(tx) == height
+
+
+def _ed25519_era_authority():
+    """A log of the Ed25519 era: a 32-byte authority key, self-signed."""
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    material = hashlib.sha256(b"uwbpol-ledger-keys|" + bytes(8)).digest()
+    key = Ed25519PrivateKey.from_private_bytes(
+        hashlib.sha256(material + b"|authority").digest())
+    public = key.public_key().public_bytes(serialization.Encoding.Raw,
+                                           serialization.PublicFormat.Raw)
+    body = Certificate("authority", Role.AUTHORITY, public, 0, led.CERT_VALIDITY_NS).encode()
+    return SimpleNamespace(name="authority", sign=key.sign), body + led.lp(key.sign(body))
+
+
+def _signed_certificate_era_authority():
+    """A log whose certificates end in their issuer's P-256 signature."""
+    authority = issue_identity(0, "authority", Role.AUTHORITY, 0)
+    body = authority.certificate.encode()
+    return authority, body + led.lp(authority.sign(body))
+
+
+# Height 1 of a log that an older format wrote: era -> (signer, certificate bytes).
+OLD_ERA_AUTHORITIES = {
+    "ed25519": _ed25519_era_authority,
+    "signed-certificate": _signed_certificate_era_authority,
+}
 
 
 HOSTILE_KEYS = {
@@ -839,18 +901,8 @@ class TestHostileSignatures:
     @pytest.mark.parametrize("mutate", HOSTILE_SIGNATURES.values(), ids=HOSTILE_SIGNATURES)
     def test_transaction_signature(self, lg, alice, mutate, tmp_path):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
-        height = lg.height("pol") + 1
-        tx = _signed_tx(alice, "pol", ASSET_CREATE, encode_asset_payload("b", b"2"),
-                        lg.clock.now_ns, height)
-        hostile = replace(tx, signature=mutate(tx.signature))
-        before = _state_of(lg)
-        with pytest.raises(UnauthorizedError, match="transaction signature invalid"):
-            lg._state.commit(hostile)
-        assert _state_of(lg) == before
-        rec = led.format_audit_record(height, hostile)
-        _fails_at(_replay_with(lg, rec, tmp_path / "a.log"), rec,
-                  "transaction signature invalid")
-        assert lg._state.commit(tx) == height  # the genuine encoding is admitted
+        _hostile_signature_refused(lg, alice, "pol", ASSET_CREATE,
+                                   encode_asset_payload("b", b"2"), mutate, tmp_path / "a.log")
 
     def test_high_s_twin_of_a_committed_record(self, lg, alice, tmp_path):
         lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("a", b"1"))
@@ -866,23 +918,18 @@ class TestHostileSignatures:
 
     @pytest.mark.parametrize("mutate", HOSTILE_SIGNATURES.values(), ids=HOSTILE_SIGNATURES)
     def test_certificate_signature(self, lg, alice, mutate, tmp_path):
-        cert = _authority_signed_certificate(lg, alice.public_key)
-        cert = replace(cert, issuer_signature=mutate(cert.issuer_signature))
-        before = _state_of(lg)
-        with pytest.raises(UnauthorizedError, match="certificate signature invalid"):
-            lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
-                                  cert.encode())
-        assert _state_of(lg) == before
-        rec = _next_record(lg, lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
-                           cert.encode())
-        _fails_at(_replay_with(lg, rec, tmp_path / "a.log"), rec,
-                  "certificate signature invalid")
+        # A certificate's one signature is the authority's on its ENROLL record.
+        _hostile_signature_refused(lg, lg.authority, led.MEMBERSHIP_CHANNEL,
+                                   led.ENROLL_TX_TYPE,
+                                   _certificate(lg, alice.public_key).encode(), mutate,
+                                   tmp_path / "a.log")
+        assert "eve" in lg._state.registry
 
 
 class TestHostileKeys:
     @pytest.mark.parametrize("mangle", HOSTILE_KEYS.values(), ids=HOSTILE_KEYS)
     def test_enrollment_refused(self, lg, alice, mangle, tmp_path):
-        cert = _authority_signed_certificate(lg, mangle(alice.public_key))
+        cert = _certificate(lg, mangle(alice.public_key))
         before = _state_of(lg)
         with pytest.raises(UnauthorizedError, match="public key"):
             lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
@@ -895,33 +942,52 @@ class TestHostileKeys:
     def test_same_certificate_with_a_genuine_point_enrolls(self, lg, alice):
         # The same builder with a genuine point enrolls, so the refusals
         # above are about the key alone.
-        cert = _authority_signed_certificate(lg, alice.public_key)
+        cert = _certificate(lg, alice.public_key)
         lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
                               cert.encode())
         assert lg._state.registry["eve"] == cert
 
-    def test_ed25519_era_log_fails_replay_without_traceback(self, tmp_path):
-        # Height 1 of a log written while the ledger signed with Ed25519:
-        # a 32-byte authority key, self-signed.
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-        material = hashlib.sha256(b"uwbpol-ledger-keys|" + bytes(8)).digest()
-        key = Ed25519PrivateKey.from_private_bytes(
-            hashlib.sha256(material + b"|authority").digest())
-        public = key.public_key().public_bytes(serialization.Encoding.Raw,
-                                               serialization.PublicFormat.Raw)
-        unsigned = Certificate("authority", Role.AUTHORITY, public, 0,
-                               led.CERT_VALIDITY_NS, b"")
-        cert = replace(unsigned, issuer_signature=key.sign(unsigned.canonical_bytes()))
-        signer = SimpleNamespace(name="authority", sign=key.sign)
-        path = tmp_path / "ed25519.log"
+    @pytest.mark.parametrize("era", sorted(OLD_ERA_AUTHORITIES))
+    def test_old_era_log_fails_replay_without_traceback(self, era, tmp_path):
+        signer, cert = OLD_ERA_AUTHORITIES[era]()
+        path = tmp_path / f"{era}.log"
         path.write_text(_signed_record(signer, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
-                                       cert.encode(), 0, 1) + "\n", encoding="utf-8")
+                                       cert, 0, 1) + "\n", encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "uwbpol", "replay", "--audit", str(path)],
                               capture_output=True, text=True, timeout=120, env=cli_env())
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "replay FAILED at height 1" in proc.stderr
+        assert "replay FAILED at height 1 on channel '_members': bad certificate" in proc.stderr
+
+
+class TestEnrollmentAuthority:
+    """Only the root authority enrolls, and its own first ENROLL names itself."""
+
+    def test_enroll_from_second_authority_refused(self, lg, alice, tmp_path):
+        deputy = lg.enroll_identity("deputy", Role.AUTHORITY)
+        payload = _certificate(lg, alice.public_key).encode()
+        before = _state_of(lg)
+        with pytest.raises(UnauthorizedError, match="only the root authority"):
+            lg.submit_transaction(deputy, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE, payload)
+        assert _state_of(lg) == before
+        rec = _next_record(lg, deputy, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE, payload)
+        _fails_at(_replay_with(lg, rec, tmp_path / "a.log"), rec, "only the root authority")
+        lg.submit_transaction(lg.authority, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE, payload)
+        assert "eve" in lg._state.registry
+
+    def test_first_enroll_of_another_subject_refused(self, tmp_path):
+        root = issue_identity(0, "root", Role.AUTHORITY, 0)
+        other = issue_identity(0, "other", Role.AUTHORITY, 0)
+        tx = _signed_tx(root, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
+                        other.certificate.encode(), 0, 1)
+        state = led.LedgerState(asset_only)
+        with pytest.raises(UnauthorizedError, match="first enrollment"):
+            state.commit(tx)
+        assert (state.journal, state.registry, state.keys) == ([], {}, {})
+        rec = led.format_audit_record(1, tx)
+        path = tmp_path / "a.log"
+        path.write_text(rec + "\n", encoding="utf-8")
+        _fails_at(replay_audit_log(path, chaincode_factory=asset_only), rec, "first enrollment")
 
 
 class TestLiveReplayAgreement:
@@ -935,8 +1001,8 @@ class TestLiveReplayAgreement:
         wrong_key = ec.derive_private_key(2, ec.SECP256R1())
         submitters = [uav, uav, uav, pad, pad, pad, lg.authority, foreign,
                       replace(uav, signing_key=wrong_key),
-                      replace(uav, name="pad"),
-                      replace(uav, role=Role.AUTHORITY)]
+                      _with_cert(uav, subject="pad"),
+                      _with_cert(uav, role=Role.AUTHORITY)]
         sessions = [b"\x00" * 16]
 
         def payload(k, tx_type, submitter):
@@ -990,7 +1056,7 @@ class TestLiveReplayAgreement:
         with pytest.raises(InvalidTransactionError):
             lg.submit_transaction(alice, "pol", text, body)
         with pytest.raises(InvalidTransactionError):
-            lg.submit_transaction(replace(alice, name=text), "pol", ASSET_CREATE, body)
+            lg.submit_transaction(_with_cert(alice, subject=text), "pol", ASSET_CREATE, body)
         assert _heights(lg) == heights and lg.clock.now_ns == now
         assert text not in lg._state.registry
         lg.submit_transaction(alice, "pol", ASSET_CREATE, body)

@@ -270,6 +270,13 @@ class TestPlatformMachine:
             platform_step(platform_session(SessionState.INIT),
                           RangingResultIn(True), PLATFORM_CTX)
 
+    def test_request_naming_another_platform_not_admitted(self):
+        req = PolRequest(SID, "uav-2", "pad-2", CODE_U, CODE_P, CLAIM)
+        blank = PolSession(b"\x00" * 16, "", "pad-1", b"\x00" * 16,
+                           b"\x00" * 16, state=SessionState.REQUESTED)
+        with pytest.raises(ProtocolViolationError):
+            platform_step(blank, RequestIn(req), PLATFORM_CTX)
+
 
 # Every waiting state of both machines: (step, context, session, event, resend),
 # where resend is what each retry sends again besides re-arming the timer.
@@ -398,6 +405,38 @@ class TestRunSession:
         assert out.platform.state is SessionState.AUTHORIZED
         assert out.platform.verdict.accepted
         assert out.uav.verdict == out.platform.verdict
+
+    @pytest.mark.parametrize("with_verdict", [False, True],
+                             ids=["request", "request-and-verdict"])
+    def test_foreign_records_committed_first_are_skipped(self, with_verdict, monkeypatch):
+        # Just before uav-1's own request, uav-2 commits a valid request that
+        # names pad-2, and pad-2 may close it at once. Its session id is all
+        # zero bytes, which no placeholder id of an unarmed platform may match.
+        lg, channel, uav_party, platform_party, clock = session_world()
+        uav2 = lg.enroll_identity("uav-2", Role.UAV)
+        pad2 = lg.enroll_identity("pad-2", Role.PLATFORM)
+        claim = LocationClaim(Position(3.95, 2.705), clock.now_ns)
+        sid = b"\x00" * 16
+        foreign = [(uav2, pol.TX_POL_REQUEST, encode_pol_request(
+            PolRequest(sid, "uav-2", "pad-2", b"u" * 16, b"p" * 16, claim)))]
+        if with_verdict:
+            verdict = Verdict(False, 2.0, 0.05, 1.0, pol.claim_likelihood(2.0, 0.05))
+            foreign.append((pad2, pol.TX_POL_VERDICT, encode_pol_verdict(sid, verdict)))
+        submit = lg.submit_transaction
+
+        def foreign_first(identity, channel_name, tx_type, payload):
+            while tx_type == pol.TX_POL_REQUEST and foreign:
+                who, kind, body = foreign.pop(0)
+                submit(who, channel_name, kind, body)
+            return submit(identity, channel_name, tx_type, payload)
+
+        monkeypatch.setattr(lg, "submit_transaction", foreign_first)
+        out = run_session(uav_party, platform_party, lg, channel, claim,
+                          random.Random(1), buffer=1.0)
+        assert foreign == []
+        assert out.uav.state is SessionState.AUTHORIZED
+        assert out.platform.state is SessionState.AUTHORIZED
+        assert out.platform.session_id == out.uav.session_id
 
     def test_replayed_poll_aborts_with_code_mismatch(self):
         lg, channel, uav_party, platform_party, clock = session_world()
