@@ -55,6 +55,10 @@ class NoSuchChannelError(LedgerError):
     pass
 
 
+class ChaincodeInstallError(LedgerError):
+    """A chaincode off the default channel, or for a tx type that already has one."""
+
+
 class InvalidTransactionError(LedgerError):
     """Transaction is malformed or out of order (tx id, timestamp, height)."""
 

@@ -57,6 +57,7 @@ from .errors import (
     AssetConflictError,
     AssetNotFoundError,
     ChaincodeError,
+    ChaincodeInstallError,
     InvalidTransactionError,
     LedgerError,
     NoSuchChannelError,
@@ -277,7 +278,7 @@ class _Channel:
     def install(self, chaincode) -> None:
         taken = [t for t in chaincode.TX_TYPES if t in self.chaincodes]
         if taken:
-            raise ValueError(f"tx types {taken} already have a chaincode")
+            raise ChaincodeInstallError(f"tx types {taken} already have a chaincode")
         self.chaincodes.update(dict.fromkeys(chaincode.TX_TYPES, chaincode))
 
 
@@ -458,6 +459,8 @@ class Ledger:
     # -- channels --
 
     def install_chaincode(self, channel: str, chaincode) -> None:
+        if channel != DEFAULT_CHANNEL:  # replay runs the asset chaincode alone elsewhere
+            raise ChaincodeInstallError(f"chaincodes install only on {DEFAULT_CHANNEL!r}")
         self._state.channel(channel).install(chaincode)
 
     def height(self, channel: str) -> int:

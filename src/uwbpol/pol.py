@@ -3,11 +3,17 @@
 A UAV broadcasts a position claim as a ledger transaction; the ground
 platform ranges it over UWB using session codes pre-shared through the
 ledger, estimates its position by multilateration from the per-anchor range
-statistics of one ranging sweep, and commits a verdict
-comparing claim and estimate against an error buffer. Both sides run as
-pure state machines fed by committed ledger records, radio frames, and
-timers; the orchestrator in run_session wires them to a concrete ledger and
-channel.
+statistics of one ranging sweep, and commits a verdict comparing claim and
+estimate against an error buffer.
+
+Both sides run as pure state machines, `uav_step` and `platform_step`. One
+loop, `SessionLoop`, sits around them. It builds both start sessions, steps
+one machine per event and traces it, keeps the timers, turns a refused
+submit into an abort, and routes committed records (`route_records`). Its
+I/O is three effects: submit a transaction, send a frame, start ranging.
+Two drivers run it: `run_session` over the live ledger and radio in one
+fixed order, and the safety model of the tests over model effects in every
+order its adversary picks.
 """
 
 from __future__ import annotations
@@ -18,14 +24,16 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
+from .clock import SimClock
 from .errors import (
     ChaincodeError,
     AssetConflictError,
     AssetNotFoundError,
     ProtocolViolationError,
     UnauthorizedError,
+    UwbPolError,
     ValidationUnavailableError,
 )
 from .geo import AnchorSet, EstimateResult, Position, RangeStats, distance, multilaterate
@@ -50,6 +58,7 @@ DEFAULT_BUFFER_M = 1.0
 POLL_TIMEOUT_NS = 500_000_000  # 500 ms of simulated time
 MAX_RETRIES = 3
 RANGING_ROUNDS = 200  # poll/response rounds pooled into one position estimate
+MAX_LOOP_STEPS = 100_000  # hard stop; honest sessions take a few dozen steps
 LIKELIHOOD_TOL = 1e-12  # how far a committed verdict's likelihood may be from its numbers
 
 
@@ -173,10 +182,6 @@ def generate_codes(rng: random.Random) -> tuple[bytes, bytes]:
     while code_platform == code_uav:  # pragma: no cover - 2^-128 chance
         code_platform = rng.randbytes(16)
     return code_uav, code_platform
-
-
-def new_session_id(rng: random.Random) -> bytes:
-    return rng.randbytes(16)
 
 
 # -- validation contract ---------------------------------------------------------
@@ -526,21 +531,162 @@ class SessionOutcome:
     def terminal_state(self) -> SessionState:
         # The platform's view decides the reported outcome; an abort on
         # either side leaves both non-AUTHORIZED.
-        if self.uav.state is SessionState.ABORTED or (
-            self.platform.state is SessionState.ABORTED
-        ):
+        if SessionState.ABORTED in (self.uav.state, self.platform.state):
             return SessionState.ABORTED
         return self.platform.state
 
 
-class _PartyRuntime:
-    def __init__(self, key: str, session: PolSession, step, ctx, identity: Identity):
-        self.key = key
-        self.session = session
-        self.step = step
-        self.ctx = ctx
-        self.identity = identity
-        self.deadline: Optional[int] = None
+def start_sessions(session_id: bytes, uav_id: str, platform_id: str, code_uav: bytes,
+                   code_platform: bytes, claim: LocationClaim) -> dict[str, PolSession]:
+    """Both parties' sessions before Start, by party. The platform's has no
+    session id until a request arms it, so no 16-byte verdict id matches it."""
+    return {"uav": PolSession(session_id, uav_id, platform_id, code_uav, code_platform,
+                              claim=claim),
+            "platform": PolSession(b"", "", platform_id, b"\x00" * 16, b"\x00" * 16)}
+
+
+def route_records(records: Iterable[Transaction], uav: PolSession,
+                  platform: PolSession) -> list[tuple[str, object]]:
+    """The (party, event) pairs that committed records make, in commit order.
+
+    The UAV takes the request of its own session while it waits for one, an
+    unarmed platform the first request that names it, and each party a
+    verdict on its own session id. Other records are not for this session.
+    """
+    events = []
+    platform_free = platform.session_id == b""
+    for tx in records:
+        if tx.tx_type == TX_POL_REQUEST:
+            req = decode_pol_request(tx.payload)
+            if uav.state is SessionState.REQUESTED and req.session_id == uav.session_id:
+                events.append(("uav", RequestIn(req)))
+            if platform_free and req.platform_id == platform.platform_id:
+                platform_free = False
+                events.append(("platform", RequestIn(req)))
+        elif tx.tx_type == TX_POL_VERDICT:
+            sid, verdict = decode_pol_verdict(tx.payload)
+            events.extend((party, VerdictIn(sid, verdict))
+                          for party, session in (("uav", uav), ("platform", platform))
+                          if sid == session.session_id)
+    return events
+
+
+class SessionLoop:
+    """The loop around the two machines, whose parties are "uav" and "platform".
+
+    SetTimer arms the party's deadline. The other actions go to `effects`:
+    - `submit(party, SubmitTx)` returns the records committed since its
+      last read, or raises UnauthorizedError or ChaincodeError;
+    - `send(party, frame)` returns the frame as the other party receives
+      it, or None;
+    - `start_ranging(platform_session)` returns the sweep's result as
+      (party, event) pairs.
+    The events they make join `pending`.
+    """
+
+    def __init__(self, sessions: dict[str, PolSession], contexts: dict, effects,
+                 clock: SimClock):
+        self.sessions = dict(sessions)
+        self.contexts, self.effects, self.clock = contexts, effects, clock
+        self.pending: deque = deque()
+        self.deadlines: dict[str, Optional[int]] = dict.fromkeys(self.sessions)
+        self.trace: list = []  # (sim ns, party, from, event, to, action names)
+
+    def dispatch(self, party: str, event) -> None:
+        before = self.sessions[party]
+        if before.state in TERMINAL_STATES:
+            return
+        # Looked up per call, so a wrapper patched onto the module sees every step.
+        step = uav_step if party == "uav" else platform_step
+        after, actions = step(before, event, self.contexts[party])
+        self.sessions[party] = after
+        self.trace.append((self.clock.now_ns, party, before.state.value, type(event).__name__,
+                           after.state.value, tuple(type(a).__name__ for a in actions)))
+        for action in actions:
+            if isinstance(action, SetTimer):
+                self.deadlines[party] = self.clock.now_ns + POLL_TIMEOUT_NS
+            elif isinstance(action, SubmitTx):
+                self._submit(party, action)
+            elif isinstance(action, SendFrame):
+                received = self.effects.send(party, action.frame)
+                if received is not None:
+                    other = "platform" if party == "uav" else "uav"
+                    self.pending.append((other, UwbFrameIn(received)))
+            elif isinstance(action, StartRanging):
+                self.pending.extend(self.effects.start_ranging(self.sessions[party]))
+
+    def _submit(self, party: str, action: SubmitTx) -> None:
+        try:
+            records = self.effects.submit(party, action)
+        except (UnauthorizedError, ChaincodeError) as exc:  # traced from the state it came from
+            session = self.sessions[party]
+            self.trace.append((self.clock.now_ns, party, session.state.value, "SubmitRejected",
+                               SessionState.ABORTED.value, ()))
+            self.sessions[party] = _abort(session, "unauthorized" if isinstance(
+                exc, UnauthorizedError) else "chaincode-reject")
+            return
+        self.pending.extend(route_records(records, self.sessions["uav"],
+                                          self.sessions["platform"]))
+
+    def run(self) -> None:
+        """Start both parties, then drive them until both are terminal.
+
+        Pending events go first in first out; when none is pending, the
+        earliest deadline fires. A party left with nothing to wait on
+        aborts as "stalled".
+        """
+        self.dispatch("platform", Start())
+        self.dispatch("uav", Start())
+        for _ in range(MAX_LOOP_STEPS):
+            if self.pending:
+                self.dispatch(*self.pending.popleft())
+                continue
+            live = [p for p, s in self.sessions.items() if s.state not in TERMINAL_STATES]
+            armed = [p for p in live if self.deadlines[p] is not None]
+            if not armed:
+                for party in live:
+                    self.sessions[party] = _abort(self.sessions[party], "stalled")
+                return
+            party = min(armed, key=lambda p: (self.deadlines[p], p))
+            self.clock.advance(max(0, self.deadlines[party] - self.clock.now_ns))
+            self.deadlines[party] = None
+            self.dispatch(party, TimeoutIn())
+        raise UwbPolError(f"session did not terminate in {MAX_LOOP_STEPS} steps")
+
+
+class _LiveEffects:
+    """run_session's effects: the ledger, the radio channel and the ranging sweep."""
+
+    def __init__(self, uav_party: UavParty, platform_party: PlatformParty, lg: Ledger,
+                 channel: ChannelModel, poll_tamper):
+        self.uav_party, self.platform_party = uav_party, platform_party
+        self.lg, self.channel, self.poll_tamper = lg, channel, poll_tamper
+        self.read_height = lg.height(DEFAULT_CHANNEL)
+        self.radios = {"uav": uav_party.node, "platform": platform_party.anchor_nodes[0]}
+
+    def submit(self, party: str, action: SubmitTx):
+        identity = self.uav_party.identity if party == "uav" else self.platform_party.identity
+        self.lg.submit_transaction(identity, DEFAULT_CHANNEL, action.tx_type, action.payload)
+        records = self.lg.transactions(DEFAULT_CHANNEL, self.read_height)
+        self.read_height += len(records)
+        return records
+
+    def send(self, party: str, frame: RangingFrame) -> Optional[RangingFrame]:
+        frame = replace(frame, tx_timestamp=self.lg.clock.now_ns)
+        if self.poll_tamper is not None and frame.frame_type is FrameType.POLL:
+            frame = self.poll_tamper(frame)
+        self.lg.clock.advance(1_000)  # air time
+        other = "platform" if party == "uav" else "uav"
+        return transmit(self.channel, frame, self.radios[party], self.radios[other])
+
+    def start_ranging(self, platform: PolSession):
+        ranges = ranging_sweep(self.platform_party.anchor_nodes, self.uav_party.node,
+                               self.channel, platform.session_id, code_to_send=platform.code_platform,
+                               code_expected=platform.code_uav, rounds=RANGING_ROUNDS)
+        if sum(r.count > 0 for r in ranges) > self.platform_party.anchor_set.dimension:
+            return [("uav", RangingResultIn(True)),
+                    ("platform", RangingResultIn(True, tuple(ranges)))]
+        return [("platform", RangingResultIn(False))]
 
 
 def run_session(
@@ -555,144 +701,26 @@ def run_session(
 ) -> SessionOutcome:
     """Drive one handshake to a terminal state on both sides.
 
-    Every handshake frame goes over the air through uwb.transmit between
-    the UAV's node and the platform's first anchor, so a UAV out of radio
-    range never answers a poll. StartRanging runs one uwb.ranging_sweep of
-    RANGING_ROUNDS rounds, and its per-anchor RangeStats go to the
-    platform as they are. poll_tamper, when given, rewrites every
-    platform poll frame before it goes on the air (used to model replay
-    attacks on the radio path).
-
-    The session reads the ledger's `pol` records by height, from the height
-    at its start, so it sees only records committed after it starts.
+    The live driver of SessionLoop; the safety model of the tests is the
+    other, stepping the same loop over model effects. The live effects:
+    submit commits to `lg`, and the session reads the `pol` records
+    committed after it starts. send puts the frame on the air through
+    uwb.transmit between the UAV's node and the platform's first anchor, so
+    a UAV out of radio range never answers a poll; poll_tamper, when given,
+    first rewrites every platform poll (a replay attack on the radio path).
+    start_ranging runs one uwb.ranging_sweep of RANGING_ROUNDS rounds, which
+    succeeds when more anchors answered than the anchor set's dimension.
     """
-    session_id = new_session_id(session_rng)
+    session_id = session_rng.randbytes(16)
     code_uav, code_platform = generate_codes(session_rng)
-
-    uav_rt = _PartyRuntime(
-        "uav",
-        PolSession(session_id, uav_party.identity.name,
-                   platform_party.identity.name, code_uav, code_platform, claim=claim),
-        uav_step,
-        UavContext(uav_party.node.node_id),
-        uav_party.identity,
-    )
-    platform_rt = _PartyRuntime(
-        "platform",
-        # No session id until a request arms it, so no 16-byte verdict id matches.
-        PolSession(b"", "", platform_party.identity.name, b"\x00" * 16, b"\x00" * 16),
-        platform_step,
-        PlatformContext(platform_party.anchor_set,
-                        platform_party.anchor_nodes[0].node_id,
-                        uav_party.node.node_id, buffer),
-        platform_party.identity,
-    )
-    parties = {"uav": uav_rt, "platform": platform_rt}
-    read_height = lg.height(DEFAULT_CHANNEL)
-    platform_requested = False
-    radios = {"uav": uav_party.node, "platform": platform_party.anchor_nodes[0]}
-    pending: deque = deque()
-    trace: list = []
-
-    def terminal(rt: _PartyRuntime) -> bool:
-        return rt.session.state in TERMINAL_STATES
-
-    def dispatch(rt: _PartyRuntime, event) -> None:
-        if terminal(rt):
-            return
-        before = rt.session.state
-        rt.session, actions = rt.step(rt.session, event, rt.ctx)
-        trace.append((lg.clock.now_ns, rt.key, before.value,
-                      type(event).__name__, rt.session.state.value,
-                      tuple(type(a).__name__ for a in actions)))
-        if terminal(rt):
-            rt.deadline = None
-        for action in actions:
-            execute(rt, action)
-
-    def execute(rt: _PartyRuntime, action) -> None:
-        if isinstance(action, SetTimer):
-            rt.deadline = lg.clock.now_ns + POLL_TIMEOUT_NS
-        elif isinstance(action, SubmitTx):
-            try:
-                lg.submit_transaction(rt.identity, DEFAULT_CHANNEL,
-                                      action.tx_type, action.payload)
-            except (UnauthorizedError, ChaincodeError) as exc:
-                # Traced from the state the submit came from, before the abort.
-                trace.append((lg.clock.now_ns, rt.key, rt.session.state.value,
-                              "SubmitRejected", SessionState.ABORTED.value, ()))
-                rt.session = _abort(rt.session, "unauthorized" if isinstance(
-                    exc, UnauthorizedError) else "chaincode-reject")
-                rt.deadline = None
-        elif isinstance(action, SendFrame):
-            frame = replace(action.frame, tx_timestamp=lg.clock.now_ns)
-            if poll_tamper is not None and frame.frame_type is FrameType.POLL:
-                frame = poll_tamper(frame)
-            lg.clock.advance(1_000)  # air time
-            other = "platform" if rt.key == "uav" else "uav"
-            received = transmit(channel, frame, radios[rt.key], radios[other])
-            if received is not None:
-                pending.append((other, UwbFrameIn(received)))
-        elif isinstance(action, StartRanging):
-            ranges = ranging_sweep(
-                platform_party.anchor_nodes, uav_party.node, channel,
-                rt.session.session_id,
-                code_to_send=rt.session.code_platform,
-                code_expected=rt.session.code_uav,
-                rounds=RANGING_ROUNDS,
-            )
-            if sum(r.count > 0 for r in ranges) > platform_party.anchor_set.dimension:
-                pending.append(("uav", RangingResultIn(True)))
-                pending.append(("platform", RangingResultIn(True, tuple(ranges))))
-            else:
-                pending.append(("platform", RangingResultIn(False)))
-
-    def pump_ledger() -> None:
-        # Read what was committed since the last read, decode each record once
-        # and route it to whichever machine is expecting it; the platform gets
-        # only the first request that names it. Other records are not for us.
-        nonlocal read_height, platform_requested
-        txs = lg.transactions(DEFAULT_CHANNEL, read_height)
-        read_height += len(txs)
-        for tx in txs:
-            if tx.tx_type == TX_POL_REQUEST:
-                req = decode_pol_request(tx.payload)
-                if (uav_rt.session.state is SessionState.REQUESTED
-                        and req.session_id == uav_rt.session.session_id):
-                    pending.append(("uav", RequestIn(req)))
-                if not platform_requested and req.platform_id == platform_rt.session.platform_id:
-                    platform_requested = True
-                    pending.append(("platform", RequestIn(req)))
-            elif tx.tx_type == TX_POL_VERDICT:
-                sid, verdict = decode_pol_verdict(tx.payload)
-                for rt in (uav_rt, platform_rt):
-                    if sid == rt.session.session_id:
-                        pending.append((rt.key, VerdictIn(sid, verdict)))
-
-    dispatch(platform_rt, Start())
-    dispatch(uav_rt, Start())
-
-    for _ in range(100_000):  # hard stop; honest sessions take a few dozen steps
-        pump_ledger()
-        if pending:
-            key, event = pending.popleft()
-            dispatch(parties[key], event)
-            continue
-        if terminal(uav_rt) and terminal(platform_rt):
-            break
-        armed = [rt for rt in parties.values() if rt.deadline is not None and not terminal(rt)]
-        if not armed:
-            # One side finished (or never engaged) and the other has nothing
-            # to wait on: close it out.
-            for rt in parties.values():
-                if not terminal(rt):
-                    rt.session = _abort(rt.session, "stalled")
-            break
-        rt = min(armed, key=lambda r: (r.deadline, r.key))
-        lg.clock.advance(max(0, rt.deadline - lg.clock.now_ns))
-        rt.deadline = None
-        dispatch(rt, TimeoutIn())
-    else:
-        raise RuntimeError("session did not terminate")
-
-    return SessionOutcome(uav_rt.session, platform_rt.session, trace)
+    sessions = start_sessions(session_id, uav_party.identity.name,
+                              platform_party.identity.name, code_uav, code_platform, claim)
+    contexts = {"uav": UavContext(uav_party.node.node_id),
+                "platform": PlatformContext(platform_party.anchor_set,
+                                            platform_party.anchor_nodes[0].node_id,
+                                            uav_party.node.node_id, buffer)}
+    loop = SessionLoop(sessions, contexts,
+                       _LiveEffects(uav_party, platform_party, lg, channel, poll_tamper),
+                       lg.clock)
+    loop.run()
+    return SessionOutcome(loop.sessions["uav"], loop.sessions["platform"], loop.trace)

@@ -1,14 +1,22 @@
-"""Exhaustive adversarial exploration of the handshake state machines.
+"""Exhaustive adversarial exploration of the session loop.
 
-The two transition functions are pure, so their composition with an abstract
-environment can be model-checked directly: the environment mirrors what the
-ledger and radio would do with each emitted action (refuse a transaction from
-an unenrolled submitter, run every other one through the real, stateless
-PolChaincode on a frozen copy of the `pol` world state, let frames be
-captured and replayed), and an adversary chooses the order of every
-deliverable event and may inject corrupted or stale radio frames and spurious
-timeouts at any point. Exploration is a BFS over composed states; exploring
-all states and transitions covers the behavior of every event interleaving.
+Each transition is one `pol.SessionLoop.dispatch`, the same dispatch that
+`run_session` drives, over model effects in place of the live ones. So the
+model takes from `pol` the start sessions (`start_sessions`), the dispatch
+(a terminal machine is skipped), the submit-refusal rule (abort with
+`unauthorized` or `chaincode-reject`) and the routing of committed records
+(`route_records`). Submit runs the real, stateless PolChaincode on a frozen
+copy of the `pol` world state. Send and ranging results go nowhere by
+themselves: every event the loop queues stays deliverable, in any order and
+any number of times, as captured traffic. Three things stay abstract:
+enrollment (a flag per party, checked before the chaincode), signatures
+(none), and timers (a timeout may fire at any point).
+
+An adversary picks the next event among those queued, each party's Start,
+and injections: corrupted or stale radio frames, a stale verdict, a failed
+sweep once one has run, and spurious timeouts. It never learns the session
+codes. Exploration is a BFS over composed states, which hold the sessions
+and the environment but not the loop's trace, so equal states merge.
 
 The safety property checked: no reachable state has either machine AUTHORIZED
 unless (a) the UAV and platform identities were enrolled (certificates
@@ -16,36 +24,28 @@ verify), (b) the correct-code poll and response were actually delivered
 (bilateral code match), and (c) a committed verdict accepted the claim.
 """
 
-import random
+import itertools
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional
 
-from uwbpol.errors import ChaincodeError, ProtocolViolationError, UnauthorizedError
+from uwbpol.clock import SimClock
+from uwbpol.errors import ProtocolViolationError, UnauthorizedError
 from uwbpol.geo import Position, RangeStats, distance
 from uwbpol.ledger import DEFAULT_CHANNEL, Transaction
 from uwbpol.pol import (
-    TX_POL_REQUEST,
     LocationClaim,
     PlatformContext,
     PolChaincode,
     PolSession,
     RangingResultIn,
-    RequestIn,
-    SendFrame,
+    SessionLoop,
     SessionState,
     Start,
-    StartRanging,
-    SubmitTx,
     TimeoutIn,
     UavContext,
     UwbFrameIn,
-    Verdict,
     VerdictIn,
-    decode_pol_request,
-    decode_pol_verdict,
-    platform_step,
-    uav_step,
+    start_sessions,
 )
 from uwbpol.uwb import FrameType, RangingFrame
 
@@ -63,8 +63,22 @@ SPOOFED = Position(5.95, 2.705)  # 2 m off, outside the 1 m buffer
 ANCHORS = make_anchor_set(FIG4_ANCHOR_COORDS)
 UAV_CTX = UavContext("uav")
 PLATFORM_CTX = PlatformContext(ANCHORS, "a0", "uav", buffer=1.0)
+CONTEXTS = {"uav": UAV_CTX, "platform": PLATFORM_CTX}
+SUBMITTERS = {"uav": "uav-1", "platform": "pad-1"}
 
 HONEST_MEASUREMENTS = tuple(RangeStats(1, distance(pos, TRUTH)) for _, pos in ANCHORS.anchors)
+HONEST_RANGING = ("platform", RangingResultIn(True, HONEST_MEASUREMENTS))
+
+# Pure adversarial injections: wrong or stale radio traffic, spurious timeouts.
+INJECTIONS = (
+    ("uav", UwbFrameIn(RangingFrame(FrameType.POLL, SID, "a0", "uav", WRONG_CODE))),
+    ("uav", UwbFrameIn(RangingFrame(FrameType.POLL, STALE_SID, "a0", "uav", WRONG_CODE))),
+    ("platform", UwbFrameIn(RangingFrame(FrameType.RESPONSE, SID, "uav", "a0", WRONG_CODE))),
+    ("platform", UwbFrameIn(RangingFrame(FrameType.RESPONSE, STALE_SID, "uav", "a0",
+                                         WRONG_CODE))),
+    ("uav", TimeoutIn()),
+    ("platform", TimeoutIn()),
+)
 
 
 @dataclass(frozen=True)
@@ -75,13 +89,12 @@ class EnvState:
     platform_enrolled: bool
     claim_honest: bool
     pol_assets: tuple = ()  # the `pol` world state, as sorted (asset id, Asset) pairs
-    request_payload: Optional[bytes] = None  # committed POL_REQUEST
-    poll_sent: bool = False          # correct poll is on the air / captured
-    response_sent: bool = False      # correct response is on the air / captured
-    ranging_done: bool = False
-    verdict: Optional[Verdict] = None  # committed POL_VERDICT
+    queued: frozenset = frozenset()  # every (party, event) the loop has queued
     honest_poll_delivered: bool = False
     honest_response_delivered: bool = False
+
+    def verdicts(self):
+        return {event.verdict for _, event in self.queued if isinstance(event, VerdictIn)}
 
 
 @dataclass(frozen=True)
@@ -91,125 +104,77 @@ class World:
     env: EnvState
 
 
+class ModelEffects:
+    """The loop's effects over the model's environment."""
+
+    def __init__(self, env: EnvState):
+        self.env = env
+
+    def submit(self, party, action):
+        submitter = SUBMITTERS[party]
+        if not (self.env.uav_enrolled if party == "uav" else self.env.platform_enrolled):
+            raise UnauthorizedError(f"{submitter!r} not enrolled")
+        tx = Transaction(b"", DEFAULT_CHANNEL, action.tx_type, action.payload, submitter, 0, b"")
+        assets = dict(self.env.pol_assets)
+        PolChaincode().apply(assets, tx)
+        self.env = replace(self.env, pol_assets=tuple(sorted(assets.items())))
+        return [tx]
+
+    def send(self, party, frame):
+        return frame  # captured; the adversary delivers it when it likes
+
+    def start_ranging(self, platform):
+        return [("uav", RangingResultIn(True)), HONEST_RANGING]
+
+
 def initial_world(uav_enrolled: bool, platform_enrolled: bool, claim_honest: bool) -> World:
-    claim = LocationClaim(SPOOFED if not claim_honest else TRUTH, 0)
-    uav = PolSession(SID, "uav-1", "pad-1", CODE_U, CODE_P, claim=claim)
-    platform = PolSession(b"\x00" * 16, "", "pad-1",
-                          b"\x00" * 16, b"\x00" * 16)
-    return World(uav, platform,
+    claim = LocationClaim(TRUTH if claim_honest else SPOOFED, 0)
+    sessions = start_sessions(SID, SUBMITTERS["uav"], SUBMITTERS["platform"],
+                              CODE_U, CODE_P, claim)
+    return World(sessions["uav"], sessions["platform"],
                  EnvState(uav_enrolled, platform_enrolled, claim_honest))
 
 
-def _apply_actions(world: World, party: str, session: PolSession, actions) -> World:
-    env = world.env
-    for action in actions:
-        if isinstance(action, SubmitTx):
-            enrolled = env.uav_enrolled if party == "uav" else env.platform_enrolled
-            submitter = session.uav_id if party == "uav" else session.platform_id
-            tx = Transaction(b"", DEFAULT_CHANNEL, action.tx_type, action.payload,
-                             submitter, 0, b"")
-            assets = dict(env.pol_assets)
-            try:
-                if not enrolled:  # enrollment and signatures stay abstract
-                    raise UnauthorizedError(f"{submitter!r} not enrolled")
-                PolChaincode().apply(assets, tx)
-            except (UnauthorizedError, ChaincodeError) as exc:
-                reason = ("unauthorized" if isinstance(exc, UnauthorizedError)
-                          else "chaincode-reject")
-                session = replace(session, state=SessionState.ABORTED, abort_reason=reason)
-                continue
-            env = replace(env, pol_assets=tuple(sorted(assets.items())))
-            if action.tx_type == TX_POL_REQUEST:
-                env = replace(env, request_payload=action.payload)
-            else:
-                env = replace(env, verdict=decode_pol_verdict(action.payload)[1])
-        elif isinstance(action, SendFrame):
-            if action.frame.frame_type is FrameType.POLL:
-                env = replace(env, poll_sent=True)
-            else:
-                env = replace(env, response_sent=True)
-        elif isinstance(action, StartRanging):
-            env = replace(env, ranging_done=True)
-    if party == "uav":
-        return World(session, world.platform, env)
-    return World(world.uav, session, env)
+def _loop(world: World) -> SessionLoop:
+    return SessionLoop({"uav": world.uav, "platform": world.platform}, CONTEXTS,
+                       ModelEffects(world.env), SimClock())
 
 
-def _honest_poll() -> RangingFrame:
-    return RangingFrame(FrameType.POLL, SID, "a0", "uav", CODE_P)
-
-
-def _honest_response() -> RangingFrame:
-    return RangingFrame(FrameType.RESPONSE, SID, "uav", "a0", CODE_U)
+def honest_trace() -> list:
+    """The enrolled, honest session under run_session's own order, injecting nothing."""
+    loop = _loop(initial_world(True, True, True))
+    loop.run()
+    return loop.trace
 
 
 def candidate_moves(world: World):
-    """Every event the environment or adversary could hand each machine."""
+    """Every event the adversary could hand each machine next."""
     env = world.env
-    moves = []
-
-    # Honest plumbing, deliverable in any order the adversary likes.
-    if world.uav.state is SessionState.INIT:
-        moves.append(("uav", Start()))
-    if world.platform.state is SessionState.INIT:
-        moves.append(("platform", Start()))
-    if env.request_payload is not None:
-        request = RequestIn(decode_pol_request(env.request_payload))
-        moves.append(("uav", request))
-        moves.append(("platform", request))
-    if env.poll_sent:
-        moves.append(("uav", UwbFrameIn(_honest_poll())))  # incl. replays
-    if env.response_sent:
-        moves.append(("platform", UwbFrameIn(_honest_response())))
-    if env.ranging_done:
-        moves.append(("uav", RangingResultIn(True)))
-        moves.append(("platform", RangingResultIn(True, HONEST_MEASUREMENTS)))
-        moves.append(("platform", RangingResultIn(False)))
-    if env.verdict is not None:
-        moves.append(("uav", VerdictIn(SID, env.verdict)))
-        moves.append(("platform", VerdictIn(SID, env.verdict)))
-        moves.append(("uav", VerdictIn(STALE_SID, env.verdict)))
-
-    # Pure adversarial injections: wrong or stale radio traffic, spurious
-    # timeouts. The attacker never learns the session codes.
-    moves.append(("uav", UwbFrameIn(
-        RangingFrame(FrameType.POLL, SID, "a0", "uav", WRONG_CODE))))
-    moves.append(("uav", UwbFrameIn(
-        RangingFrame(FrameType.POLL, STALE_SID, "a0", "uav", WRONG_CODE))))
-    moves.append(("platform", UwbFrameIn(
-        RangingFrame(FrameType.RESPONSE, SID, "uav", "a0", WRONG_CODE))))
-    moves.append(("platform", UwbFrameIn(
-        RangingFrame(FrameType.RESPONSE, STALE_SID, "uav", "a0", WRONG_CODE))))
-    moves.append(("uav", TimeoutIn()))
-    moves.append(("platform", TimeoutIn()))
+    moves = [(party, Start()) for party, s in (("uav", world.uav), ("platform", world.platform))
+             if s.state is SessionState.INIT]
+    moves.extend(env.queued)  # incl. replays
+    moves.extend(("uav", VerdictIn(STALE_SID, v)) for v in env.verdicts())
+    if HONEST_RANGING in env.queued:
+        moves.append(("platform", RangingResultIn(False)))  # a sweep that ran may fail
+    moves.extend(INJECTIONS)
     return moves
 
 
-def step_world(world: World, party: str, event) -> Optional[World]:
-    """One transition; None when the machine rejects the event."""
-    session = world.uav if party == "uav" else world.platform
-    step = uav_step if party == "uav" else platform_step
-    ctx = UAV_CTX if party == "uav" else PLATFORM_CTX
-    if session.state in (SessionState.AUTHORIZED, SessionState.REJECTED,
-                         SessionState.ABORTED):
-        return None
+def step_world(world: World, party: str, event):
+    """One dispatch; None when the machine rejects the event."""
+    loop = _loop(world)
     try:
-        new_session, actions = step(session, event, ctx)
+        loop.dispatch(party, event)
     except ProtocolViolationError:
         return None
-
-    env = world.env
-    if (party == "uav" and isinstance(event, UwbFrameIn)
-            and new_session.state is SessionState.RANGING
-            and event.frame.code == CODE_P and event.frame.session_id == SID):
-        env = replace(env, honest_poll_delivered=True)
-    if (party == "platform" and isinstance(event, UwbFrameIn)
-            and new_session.state is SessionState.RANGING
-            and event.frame.code == CODE_U and event.frame.session_id == SID):
-        env = replace(env, honest_response_delivered=True)
-
-    intermediate = World(world.uav, world.platform, env)
-    return _apply_actions(intermediate, party, new_session, actions)
+    env = replace(loop.effects.env, queued=world.env.queued | frozenset(loop.pending))
+    if (isinstance(event, UwbFrameIn) and event.frame.session_id == SID
+            and loop.sessions[party].state is SessionState.RANGING):
+        if party == "uav" and event.frame.code == CODE_P:
+            env = replace(env, honest_poll_delivered=True)
+        if party == "platform" and event.frame.code == CODE_U:
+            env = replace(env, honest_response_delivered=True)
+    return World(loop.sessions["uav"], loop.sessions["platform"], env)
 
 
 @dataclass
@@ -224,12 +189,10 @@ def explore(max_transitions: int = 100_000) -> ExplorationReport:
     """BFS over all branches and adversarial orderings; checks safety."""
     frontier = deque()
     seen = set()
-    for uav_enrolled in (True, False):
-        for platform_enrolled in (True, False):
-            for claim_honest in (True, False):
-                w = initial_world(uav_enrolled, platform_enrolled, claim_honest)
-                frontier.append(w)
-                seen.add(w)
+    for flags in itertools.product((True, False), repeat=3):
+        w = initial_world(*flags)
+        frontier.append(w)
+        seen.add(w)
 
     transitions = 0
     authorized = 0
@@ -245,7 +208,7 @@ def explore(max_transitions: int = 100_000) -> ExplorationReport:
                 ok = (env.uav_enrolled and env.platform_enrolled
                       and env.honest_poll_delivered
                       and env.honest_response_delivered
-                      and env.verdict is not None and env.verdict.accepted
+                      and any(v.accepted for v in env.verdicts())
                       and env.claim_honest)
                 if not ok:
                     violations.append(world)

@@ -7,16 +7,21 @@ log), and then its finish check. So a name the benchmark calls that the
 package no longer has, or a check that one kind of op fails, fails here
 first. One op also runs under the benchmark's tracer, as `bench/run.py
 --trace 1` runs it, so a rename that breaks a traced run or its per-layer
-metrics fails here too.
+metrics fails here too. Last, `bench/run.py` itself runs each workload for
+0 seconds (the warm-up op plus the minimum batch, below the op count that
+turns on its scaling check) and must exit 0 with a correct result.
 """
 
 import importlib.util
 import itertools
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import cli_env
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -77,3 +82,29 @@ def test_traced_op_matches_untraced(api, name, tmp_path):
     assert {m["name"] for m in SPEC["per_layer"]} - RUN_TIMED <= set(metrics)
     for metric in TRACED_COUNTS[name]:
         assert metrics[metric] > 0, metric
+
+
+@pytest.fixture(scope="module")
+def bench_runs():
+    """Each workload's `bench/run.py --seconds 0` run, started together.
+
+    They write only under the git-ignored `.bench_out/`.
+    """
+    procs = {w["name"]: subprocess.Popen(
+        [sys.executable, str(BENCH / "run.py"), "--workload", w["name"], "--seed", "0",
+         "--seconds", "0"], cwd=BENCH.parent, env=cli_env(), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE) for w in SPEC["workloads"]}
+    try:
+        return {name: (*proc.communicate(timeout=300), proc.returncode)
+                for name, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
+def test_bench_entry_point_runs_correct(bench_runs, name):
+    stdout, stderr, returncode = bench_runs[name]
+    assert returncode == 0, stderr
+    assert json.loads(stdout.splitlines()[-1])["correct"] is True

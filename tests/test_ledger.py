@@ -24,6 +24,7 @@ from uwbpol.errors import (
     AssetConflictError,
     AssetNotFoundError,
     ChaincodeError,
+    ChaincodeInstallError,
     InvalidTransactionError,
     LedgerError,
     NoSuchChannelError,
@@ -626,10 +627,20 @@ class TestReservedKeyRanges:
         assert vars(PolChaincode()) == {} and vars(led.AssetChaincode()) == {}
 
     def test_one_chaincode_per_tx_type(self, pol_lg):
-        with pytest.raises(ValueError, match="already have a chaincode"):
+        with pytest.raises(ChaincodeInstallError, match="already have a chaincode"):
             pol_lg.install_chaincode(led.DEFAULT_CHANNEL, PolChaincode())
         assert pol_lg._state.channel("pol").chaincodes.keys() == set(
             led.AssetChaincode.TX_TYPES + PolChaincode.TX_TYPES)
+
+    def test_no_chaincode_on_membership_channel(self, pol_lg):
+        # Replay runs the asset chaincode alone there, so a record that such
+        # a chaincode committed live would fail replay.
+        before = _heights(pol_lg)
+        with pytest.raises(ChaincodeInstallError, match="only on 'pol'"):
+            pol_lg.install_chaincode(led.MEMBERSHIP_CHANNEL, PolChaincode())
+        assert _heights(pol_lg) == before
+        assert pol_lg._state.channel(led.MEMBERSHIP_CHANNEL).chaincodes.keys() == set(
+            led.AssetChaincode.TX_TYPES)
 
 
 class TestReplayForgery:

@@ -12,6 +12,7 @@ from uwbpol.errors import (
     ChaincodeError,
     ProtocolViolationError,
     UnauthorizedError,
+    UwbPolError,
     ValidationUnavailableError,
 )
 from uwbpol.geo import EstimateResult, Position, RangeStats
@@ -557,6 +558,18 @@ class TestRunSession:
         assert out.uav.abort_reason == "chaincode-reject"
         assert lg.height("pol") == 2
         assert [entry[1:] for entry in out.trace] == self.REFUSED_REQUEST_TRACE
+
+    def test_hard_stop_is_typed(self, monkeypatch):
+        # A platform that re-arms its timer on every event never finishes;
+        # the loop looks its step up per call, so the patch reaches it.
+        monkeypatch.setattr(pol, "platform_step", lambda session, event, ctx: (
+            replace(session, state=SessionState.POLLING), [SetTimer()]))
+        monkeypatch.setattr(pol, "MAX_LOOP_STEPS", 60)
+        lg, channel, uav_party, platform_party, clock = session_world()
+        claim = LocationClaim(Position(3.95, 2.705), clock.now_ns)
+        with pytest.raises(UwbPolError, match="did not terminate in 60 steps"):
+            run_session(uav_party, platform_party, lg, channel, claim,
+                        random.Random(1), buffer=1.0)
 
     def test_sessions_never_share_codes(self):
         lg, channel, uav_party, platform_party, clock = session_world()

@@ -1,5 +1,6 @@
 """Adversarial event-order exploration of the two session machines."""
 
+from uwbpol import pol, sim
 from uwbpol.pol import SessionState
 
 import safety_model
@@ -36,3 +37,20 @@ def test_no_response_ever_sent_for_mismatched_poll():
                 assert new_session.state is SessionState.ABORTED
             else:
                 assert len(sends) == 1
+
+
+def test_model_loop_walks_the_live_trace(monkeypatch):
+    # Under the live loop's own order and with nothing injected, the model's
+    # effects walk an honest session exactly as run_session does on fig4
+    # seed 0, attempt 0, except for the sim-time column.
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        outcomes.append(pol.run_session(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(sim, "run_session", recording)
+    sim.run(sim.get_preset("fig4"), seed_override=0)
+    live = [entry[1:] for entry in outcomes[0].trace]
+    assert [entry[1:] for entry in safety_model.honest_trace()] == live
+    assert live[-1][3] == live[-2][3] == SessionState.AUTHORIZED.value
