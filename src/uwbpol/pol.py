@@ -54,12 +54,10 @@ from .uwb import ChannelModel, FrameType, RadioNode, RangingFrame, ranging_sweep
 TX_POL_REQUEST = "POL_REQUEST"
 TX_POL_VERDICT = "POL_VERDICT"
 
-DEFAULT_BUFFER_M = 1.0
 POLL_TIMEOUT_NS = 500_000_000  # 500 ms of simulated time
 MAX_RETRIES = 3
 RANGING_ROUNDS = 200  # poll/response rounds pooled into one position estimate
 MAX_LOOP_STEPS = 100_000  # hard stop; honest sessions take a few dozen steps
-LIKELIHOOD_TOL = 1e-12  # how far a committed verdict's likelihood may be from its numbers
 
 
 class SessionState(Enum):
@@ -88,15 +86,22 @@ class LocationClaim:
 
 @dataclass(frozen=True)
 class Verdict:
-    accepted: bool
+    """A claim judged against an estimate: the distance between them, the
+    estimate's error radius and the buffer. The outcome follows from these
+    three numbers and is never stated apart from them: `accepted` is
+    distance <= buffer, and `likelihood` is `claim_likelihood` of the
+    distance and radius."""
+
+    accepted: bool = field(init=False)
     claim_to_estimate_distance: float
     error_radius: float
     buffer: float
-    likelihood: float
+    likelihood: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.likelihood <= 1.0:
-            raise ValueError(f"likelihood must be in [0, 1], got {self.likelihood!r}")
+        d = self.claim_to_estimate_distance
+        object.__setattr__(self, "accepted", d <= self.buffer)
+        object.__setattr__(self, "likelihood", claim_likelihood(d, self.error_radius))
 
 
 # -- wire payloads -------------------------------------------------------------
@@ -112,10 +117,10 @@ class PolRequest:
 
 
 def encode_pol_request(req: PolRequest) -> bytes:
+    """The request's payload; it omits `uav_id`, which is the submitter."""
     c = req.claim
     return (
         req.session_id
-        + lps(req.uav_id)
         + lps(req.platform_id)
         + req.code_uav
         + req.code_platform
@@ -123,12 +128,12 @@ def encode_pol_request(req: PolRequest) -> bytes:
     )
 
 
-def decode_pol_request(payload: bytes) -> PolRequest:
+def decode_pol_request(payload: bytes, submitter: str) -> PolRequest:
+    """The request that `submitter`, its UAV, committed as `payload`."""
     if len(payload) < 16:
         raise ValueError("request payload too short")
     session_id = payload[:16]
-    uav_id, off = read_lps(payload, 16)
-    platform_id, off = read_lps(payload, off)
+    platform_id, off = read_lps(payload, 16)
     if off + 32 + 32 > len(payload):
         raise ValueError("truncated request payload")
     code_uav = payload[off:off + 16]
@@ -140,37 +145,27 @@ def decode_pol_request(payload: bytes) -> PolRequest:
         raise ValueError("trailing bytes in request payload")
     if not (ts >= 0 and ts.is_integer()):
         raise ValueError(f"claim timestamp must be a finite integer >= 0, got {ts!r}")
-    return PolRequest(session_id, uav_id, platform_id, code_uav, code_platform,
+    return PolRequest(session_id, submitter, platform_id, code_uav, code_platform,
                       LocationClaim(Position(x, y, z), int(ts)))
 
 
 def encode_pol_verdict(session_id: bytes, verdict: Verdict) -> bytes:
-    return (
-        session_id
-        + (b"\x01" if verdict.accepted else b"\x00")
-        + struct.pack(
-            ">dddd",
-            verdict.claim_to_estimate_distance,
-            verdict.error_radius,
-            verdict.buffer,
-            verdict.likelihood,
-        )
-    )
+    return session_id + struct.pack(
+        ">ddd", verdict.claim_to_estimate_distance, verdict.error_radius, verdict.buffer)
 
 
 def decode_pol_verdict(payload: bytes) -> tuple[bytes, Verdict]:
-    if len(payload) != 16 + 1 + 32:
-        raise ValueError(f"verdict payload must be 49 bytes, got {len(payload)}")
-    session_id = payload[:16]
-    flag = payload[16]
-    if flag not in (0, 1):
-        raise ValueError(f"invalid accepted flag {flag:#04x}")
-    d, er, buf, lik = struct.unpack_from(">dddd", payload, 17)
-    if not all(math.isfinite(v) for v in (d, er, buf, lik)):
+    if len(payload) != 16 + 24:
+        raise ValueError(f"verdict payload must be 40 bytes, got {len(payload)}")
+    d, er, buf = struct.unpack_from(">ddd", payload, 16)
+    if not all(math.isfinite(v) for v in (d, er, buf)):
         raise ValueError("verdict numbers must be finite")
     if d < 0 or er < 0 or buf <= 0:
         raise ValueError("verdict distance and error radius must be >= 0, buffer > 0")
-    return session_id, Verdict(bool(flag), d, er, buf, lik)
+    try:
+        return payload[:16], Verdict(d, er, buf)
+    except OverflowError as exc:
+        raise ValueError("verdict likelihood overflows a float") from exc
 
 
 # -- session codes -------------------------------------------------------------
@@ -209,14 +204,7 @@ def validate_location(claim: LocationClaim, estimate: EstimateResult,
         raise ValueError("buffer must be > 0")
     if not estimate.converged:
         raise ValidationUnavailableError("estimate did not converge")
-    d = distance(claim.position, estimate.position)
-    return Verdict(
-        accepted=d <= buffer,
-        claim_to_estimate_distance=d,
-        error_radius=estimate.error_radius,
-        buffer=buffer,
-        likelihood=claim_likelihood(d, estimate.error_radius),
-    )
+    return Verdict(distance(claim.position, estimate.position), estimate.error_radius, buffer)
 
 
 # -- chaincode -------------------------------------------------------------------
@@ -225,15 +213,22 @@ class PolChaincode:
     """Ledger-side rules for the handshake's two transaction types.
 
     It keeps no state of its own: it reads and writes two key ranges of the
-    world state, which AssetChaincode refuses to every client.
-    POL_REQUEST, from the UAV the request names only, opens the session
-    asset `pol-session-<sid>`, which holds the request. Its owner is the
-    platform the request names, since an owner writes the next version. It
-    also writes a `pol-code-<hex>` entry per session code, so codes are
-    single-use across sessions. POL_VERDICT, from the session asset's owner
-    only, closes the session. It must be self-consistent: accepted exactly
-    when distance <= buffer, and its likelihood within LIKELIHOOD_TOL of
-    what `claim_likelihood` gives for its distance and error radius.
+    world state, which AssetChaincode refuses to every client. Each record
+    carries only what the ledger does not already hold.
+
+    POL_REQUEST carries the session id, the platform's name, both session
+    codes and the claim. Its UAV is the transaction's submitter, so no UAV
+    can request for another. It opens the session asset
+    `pol-session-<sid>`, which holds the request. Its owner is the platform
+    the request names, since an owner writes the next version. It also
+    writes a `pol-code-<hex>` entry per session code, so codes are
+    single-use across sessions.
+
+    POL_VERDICT, from the session asset's owner only, closes the session.
+    It carries the session id, the claim-to-estimate distance, the error
+    radius and the buffer; `Verdict` derives whether it accepts and its
+    likelihood from those numbers. The buffer is the platform's word, so a
+    platform that states a larger one accepts a farther claim.
     An accepting verdict attests what `validate_location` proves, which is
     not the UAV's position.
     """
@@ -243,11 +238,9 @@ class PolChaincode:
     def apply(self, assets: dict[str, Asset], tx: Transaction) -> None:
         if tx.tx_type == TX_POL_REQUEST:
             try:
-                req = decode_pol_request(tx.payload)
+                req = decode_pol_request(tx.payload, tx.submitter)
             except ValueError as exc:
                 raise ChaincodeError(f"bad request payload: {exc}") from exc
-            if req.uav_id != tx.submitter:
-                raise UnauthorizedError(f"{tx.submitter!r} cannot request for {req.uav_id!r}")
             asset_id = SESSION_ASSET_PREFIX + req.session_id.hex()
             if asset_id in assets:
                 raise AssetConflictError(f"session {req.session_id.hex()} already open")
@@ -259,10 +252,8 @@ class PolChaincode:
             assets[asset_id] = Asset(asset_id, tx.payload, owner=req.platform_id, version=1)
         elif tx.tx_type == TX_POL_VERDICT:
             try:
-                session_id, verdict = decode_pol_verdict(tx.payload)
-                likelihood = claim_likelihood(verdict.claim_to_estimate_distance,
-                                              verdict.error_radius)
-            except (ValueError, OverflowError) as exc:
+                session_id, _ = decode_pol_verdict(tx.payload)
+            except ValueError as exc:
                 raise ChaincodeError(f"bad verdict payload: {exc}") from exc
             asset_id = SESSION_ASSET_PREFIX + session_id.hex()
             current = assets.get(asset_id)
@@ -274,10 +265,6 @@ class PolChaincode:
                 raise UnauthorizedError(
                     f"{tx.submitter!r} is not the platform of session {session_id.hex()}"
                 )
-            if verdict.accepted != (verdict.claim_to_estimate_distance <= verdict.buffer):
-                raise ChaincodeError("verdict inconsistent with its own distance/buffer")
-            if abs(verdict.likelihood - likelihood) > LIKELIHOOD_TOL:
-                raise ChaincodeError("verdict likelihood inconsistent with its distance/radius")
             assets[asset_id] = Asset(
                 asset_id, current.data + tx.payload, current.owner, current.version + 1
             )
@@ -557,7 +544,7 @@ def route_records(records: Iterable[Transaction], uav: PolSession,
     platform_free = platform.session_id == b""
     for tx in records:
         if tx.tx_type == TX_POL_REQUEST:
-            req = decode_pol_request(tx.payload)
+            req = decode_pol_request(tx.payload, tx.submitter)
             if uav.state is SessionState.REQUESTED and req.session_id == uav.session_id:
                 events.append(("uav", RequestIn(req)))
             if platform_free and req.platform_id == platform.platform_id:
@@ -696,7 +683,7 @@ def run_session(
     channel: ChannelModel,
     claim: LocationClaim,
     session_rng: random.Random,
-    buffer: float = DEFAULT_BUFFER_M,
+    buffer: float,
     poll_tamper: Optional[Callable[[RangingFrame], RangingFrame]] = None,
 ) -> SessionOutcome:
     """Drive one handshake to a terminal state on both sides.

@@ -44,53 +44,53 @@ ATTACKS = {
 
 GOLDEN_FILES = {
     "fig4-honest-0.csv": "bccea7636a09e033cc4eb5a48f3964cdb4ca8e7fbb1233d5054927c1153c5e98",
-    "fig4-honest-0.log": "75ae178ef97e7f4597786ee9b866e91707f28ef43aac1767d3b07a5020805a0f",
+    "fig4-honest-0.log": "b1677e6f2a5126e68dce8c18ef994510fe0d3f6fbcd0480fc101e4e5eebc13d0",
     "fig4-honest-1.csv": "09375282108267eaca5d78a325517e5bc9aa939031183aa3b2b818a7d811ef23",
-    "fig4-honest-1.log": "080234b4746a212465842ce97b036909b3c784c9f6efd3395a58fc861a9bbc26",
+    "fig4-honest-1.log": "0825b6f226e5fa280f2cb8566641271388192c04e78c64cb116303052fc487d2",
     "fig4-honest-2.csv": "33a852a8dac5ee14c577ea9b56ab56aa85b374b5ee855b6bb5dc1f7b6658b3b4",
-    "fig4-honest-2.log": "bb5c71ef09773b4bee3317f3a79570a80aa61782823f95236ccb73b46b68f8c3",
+    "fig4-honest-2.log": "f7e65ef662dcc030cabe43318fa4ed6cc71283b206851bfd202162ea3dea1bbe",
     "fig4-identity-0.csv": "5885e9c8f201b7cf45ef1070416c0f3923cebd95b98dcc5bae772a6c6b6cbeae",
-    "fig4-identity-0.log": "a4c0f2968b70a2ab0eb97965db46a1bc1795d7ff8a1f62676bd40aa511ed30d7",
+    "fig4-identity-0.log": "abedd855f50286891115f40719f2f260698b0c9fc6b3e52609bb6e3ef5b8bfd9",
     "fig4-identity-1.csv": "cc7d6cf0c48d17e492b5799040524932d856e7c92774d4c208823f3ffdc3a377",
-    "fig4-identity-1.log": "709f30f6dd580ff53b982693fb85c9ad39a004258e8aa8423ab46d56e56074e4",
+    "fig4-identity-1.log": "42373175b20f46732c2f58cbb1ded6e419b1dd85890cd2b98534d63489a6ee97",
     "fig4-identity-2.csv": "9de611f357ce3b489aef78d81ff7615aa9955e6c061e1afa054dc0d519918591",
-    "fig4-identity-2.log": "03e67f83b3c484688b1fb02e9606b245520400ba7a44a7bd4d1eb4f9d7f108f9",
+    "fig4-identity-2.log": "b7e3bd7b81a4d278058c2de955cf7d72fce9274393d1ba98d53c0cf696fbe620",
     "fig4-replay-0.csv": "7fc542968c67a8676fdbcede0a86fb4d34e2cd896a67034415b414d0ff0e0ae6",
-    "fig4-replay-0.log": "49e2507332b5369d0f37401d56ce0520960254f9fc7e1309d255f81e72c0cf53",
+    "fig4-replay-0.log": "9b16edec5e11d793d084949051f3947b568135e63948f752080f2ffec5a0c048",
     "fig4-replay-1.csv": "132a47e12031474b9747181ae687338bc73b4b8a2461fc10d102b1dd4c802956",
-    "fig4-replay-1.log": "1040e03dedc0e1a4bc4d969827c7bb6c6f3169c8a39e52a09c00290546732c23",
+    "fig4-replay-1.log": "afa397693aced04194dda41932c554e93a1856caad8a374145ecad0b55f65e9a",
     "fig4-replay-2.csv": "fd66858a330156f651f5cef9e4ca0430c59f4a473e652285fa9e4ab7288e1423",
-    "fig4-replay-2.log": "ff77458f05b516782192ba56e176f530b83028c049053948fbba7a70456e69b6",
+    "fig4-replay-2.log": "bd25db23fa4c1b2e88ec06cc5fe6f90cf3716b6bbc68d51544c1157b0777504e",
     "fig4-spoof-0.csv": "299f855c9a7e07b2a6170d9992fa6cb7b13873b922695c0d6f66c82549f1cc06",
-    "fig4-spoof-0.log": "c131c742ed55ad90387d53f7760a593fc3f733e66107244ff650f5b2e0a43464",
+    "fig4-spoof-0.log": "8074dbde14c722cd4f43cdec52dba446935f357cac7d14ed66498a6d30ac0db4",
     "fig4-spoof-1.csv": "b5e22ea6f87635285d1897577bcc1d8409ad9adeb4647ededb6d8af9a75013a5",
-    "fig4-spoof-1.log": "1549b0d1f2a96653ec380622d66b25ce943543bdc9b2f7b0acd3815da4ad3a19",
+    "fig4-spoof-1.log": "7b8948a94a87a3762aae7549bfb65f947ddf162139665f926cdf183b305b26c8",
     "fig4-spoof-2.csv": "05b5754e4e463549ce94e37f894592f6573444b04a83428857356ed8d7639311",
-    "fig4-spoof-2.log": "69fd2209ac73685cc825f9fbea7bfeef0d191a10eb897e7614f59cb76818d2b1",
+    "fig4-spoof-2.log": "b20c3bdafedb953fd1fa75d855e9f7f89399968108675ec9a3fee3c2d7c3aa9c",
     "fig5-honest-0.csv": "43ea5ac9189fab2a2e61856a9449d43d9672a57d6995a88a2e52f5e7ae225d0a",
-    "fig5-honest-0.log": "9b22225b801a60ca618d10996224f2689a775efe447fc6391e9c9e1f9ea129aa",
+    "fig5-honest-0.log": "b35025171d1273f30cca4b8574bf0a3a1d24d4b3b64a0203ea005fc2cece43b4",
     "fig5-honest-1.csv": "028498f8a0d32d1144bf49d69236c0d62a769581c9108b8fcd76f64d5c1c57cc",
-    "fig5-honest-1.log": "77fd2dca8d30a4357f88480fd11536feb6920b500a4ff9e52dc8290ac0758b62",
+    "fig5-honest-1.log": "2b9b755c3fad0a409efab30b0685c5c87648fff8c17b7d4ef5f780693cb623fb",
     "fig5-honest-2.csv": "4ba8bd0c7268084ac0edebd0822e6d014309cfcd2927ab88a6323edd88ad5237",
-    "fig5-honest-2.log": "280eeee7ec7b3032d24e59da38fe2283f1eb41fbd51311aa0d828439cb50eca1",
+    "fig5-honest-2.log": "262e7d44a0a6a1e9842ca50cd719c97b05c9445656739d879b93c07fa6632101",
     "fig5-identity-0.csv": "ebe28df676c5e0be8d156cb0d817c355dd1147f1c56fdfb72c9557c63c8c4ab2",
-    "fig5-identity-0.log": "fb72490d5af661ae02b0b170720fdbcf3bee525512eca86b7c5ebeced9bddbed",
+    "fig5-identity-0.log": "9e0112b7e63e4065a51656e8b7551f102aa5332c682de017fd90479e5b24de4e",
     "fig5-identity-1.csv": "c979336f6ca803d6944a1e65a3e150ab219c418e3578c28881077804037fcae6",
-    "fig5-identity-1.log": "afb59031d544558a7f12770dcad7f3f7e31cd065d01208416a9e438464f19d06",
+    "fig5-identity-1.log": "78baf3e6b05e5f726a781c2133b3c159b2d5105a01a16996a94a6b2f9a383ac2",
     "fig5-identity-2.csv": "f8dafd3c4cadb3bf350f5461bf17b68bb068ad5eadf5c2c80584d19037ed0111",
-    "fig5-identity-2.log": "8c7691cf6c048f315a2f35a7e8381e436052d39fe86228bfd28c3fc7e6225c34",
+    "fig5-identity-2.log": "ef3aa2e8518ce956adde616f90abc2215cb7f50340c58819db9aeef096e8dbd2",
     "fig5-replay-0.csv": "77c427b9b8a0d4e474eb1904b15ec6f5ad963233b14633151807329a662022e5",
-    "fig5-replay-0.log": "54fa2bcf09ae61669069b27b7de5a53148f1845c1c339dac9b9afbe406a46667",
+    "fig5-replay-0.log": "e00799639eb4f847cc026ee65bd57b12a5dbb9b25d501a006c0691335ce1d2b9",
     "fig5-replay-1.csv": "67675c9dc141077f94515335cf66031aeb1d250bf3cb89bd4852595929adfc92",
-    "fig5-replay-1.log": "3daa78928e6aeedc3e138dbc452407147fe596482d18bcb8288b72f1bffdb4c2",
+    "fig5-replay-1.log": "0942e8cc02a40d1a90378ae1fd2cac7f6be05d20e3abc8108a0000e4f8aeb0bf",
     "fig5-replay-2.csv": "5da94efcd84b1aabcf2f95bd0cddd20b0e61cb455e5b7fc9eb46bd80dc6d836f",
-    "fig5-replay-2.log": "a106cc6693cca06ec8ef7d881b0dece44377bbeb0cb11c410b08ea6e6fdcdd11",
+    "fig5-replay-2.log": "b3c5911ae7bad2299cd2610d28d09007945d56fa90a52f1d2a2825252330ab8f",
     "fig5-spoof-0.csv": "e1b3029fee5445cd75a54d72fd8266eb9b1c983db0e409fc57ab575b699a6730",
-    "fig5-spoof-0.log": "04fb91e4d851b4a7bfae1e7ea97bb0783ae8d72a379d660126ed259cef250a29",
+    "fig5-spoof-0.log": "89c2a2e92edf4b15103ee2d11644715b07edb9b32251a32fd48eee66980e8f05",
     "fig5-spoof-1.csv": "f8a756b14a0b09b2224dbf3673b5b87791767bcadd9fca4c871b371ff69476b7",
-    "fig5-spoof-1.log": "e70abf6ec86fad2bfd540776114f3598c72aadfc73be496f99369561e007cd6f",
+    "fig5-spoof-1.log": "a95be2ceb191f7d506fcf9e71b7a2b2cc7a6cd97770bc835a83345dcdf4df107",
     "fig5-spoof-2.csv": "28e88884f6fa5fa56f7dfc7bb8f000ce420062f489da189c374eacf1c75526ac",
-    "fig5-spoof-2.log": "5c217961c3ca5c91ec3ac16069641bc2da086061a899af7f54e16301c6a0e9c3",
+    "fig5-spoof-2.log": "b47a7e97385f379f6b1b452d5bfe582ce95bf2284ad96162dff561fa9f2d3474",
     "sweep-noise_sigma.csv": "6f08bd017d023c4334e20a0fa7b6b7c0a5b0dfad9e4c1a6ad37a8cec7914bd4f",
 }
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -439,21 +440,19 @@ def _pol_request(uav, platform, session_id=b"s" * 16):
                                          b"u" * 16, b"p" * 16, claim))
 
 
-ACCEPTING_VERDICT = Verdict(True, 0.1, 0.05, 1.0, claim_likelihood(0.1, 0.05))
+ACCEPTING_VERDICT = Verdict(0.1, 0.05, 1.0)
 
 # Verdicts from the session's own platform whose numbers cannot describe a
-# real comparison: (accepted flag, (distance, error radius, buffer, likelihood)).
+# real comparison: (distance, error radius, buffer).
 IMPOSSIBLE_VERDICTS = {
-    "negative-distance-and-buffer": (1, (-1.0, 0.05, -0.5, 0.9)),
-    "nan": (0, (math.nan, math.nan, math.nan, 0.0)),
-    "negative-error-radius": (1, (0.1, -3.0, 1.0, 0.9)),
-    "infinite-buffer": (1, (5.0, 0.05, math.inf, 0.9)),
-    # Finite, but the distance's square overflows a float.
-    "overflowing-distance": (0, (1e200, 0.05, 1.0, 0.0)),
-    # Squares that overflow to inf would give a NaN likelihood, which no
-    # tolerance check refuses, so each stated likelihood must be refused.
-    "overflowing-distance-and-radius-0": (0, (1e200, 1e200, 1.0, 0.0)),
-    "overflowing-distance-and-radius-exact": (0, (1e200, 1e200, 1.0, math.exp(-0.5))),
+    "negative-distance-and-buffer": (-1.0, 0.05, -0.5),
+    "nan": (math.nan, math.nan, math.nan),
+    "negative-error-radius": (0.1, -3.0, 1.0),
+    "infinite-buffer": (5.0, 0.05, math.inf),
+    # Finite, but the distance's square overflows a float, so no likelihood
+    # can be derived from them.
+    "overflowing-distance": (1e200, 0.05, 1.0),
+    "overflowing-distance-and-radius": (1e200, 1e200, 1.0),
 }
 
 
@@ -523,10 +522,6 @@ class TestLiveForgery:
         assert _heights(pol_lg) == before
         assert asset_id not in pol_lg.assets_snapshot("pol")
 
-    def test_request_for_another_uav(self, pol_lg, alice, pad):
-        with pytest.raises(UnauthorizedError):
-            pol_lg.submit_transaction(pad, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
-
     @pytest.mark.parametrize("case", sorted(UNHANDLED))
     def test_tx_type_no_chaincode_handles(self, pol_lg, alice, case):
         def state():
@@ -539,7 +534,7 @@ class TestLiveForgery:
         assert state() == before
 
 
-REJECTING_VERDICT = Verdict(False, 2.0, 0.05, 1.0, claim_likelihood(2.0, 0.05))
+REJECTING_VERDICT = Verdict(2.0, 0.05, 1.0)
 
 
 def _closed_session(lg, uav, platform):
@@ -611,7 +606,7 @@ class TestReservedKeyRanges:
         asset_id, closed = next((a_id, a) for a_id, a in lg.assets_snapshot("pol").items()
                                 if a_id.startswith(SESSION_ASSET_PREFIX) and a.version == 2)
         sid = bytes.fromhex(asset_id[len(SESSION_ASSET_PREFIX):])
-        forged = closed.data[:-49] + encode_pol_verdict(sid, ACCEPTING_VERDICT)
+        forged = closed.data[:-40] + encode_pol_verdict(sid, ACCEPTING_VERDICT)
         role = Role.UAV if who == sim.UAV_IDENTITY else Role.PLATFORM
         submitter = issue_identity(lg._seed, who, role, 0)  # its key derives from (seed, name)
         payload = encode_asset_payload(asset_id, forged)
@@ -674,25 +669,9 @@ class TestReplayForgery:
         result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
         _fails_at(result, rec, "not the platform")
 
-    @pytest.mark.parametrize("numbers", [
-        (0.9, 0.0, 1.0, 1.0),  # zero radius: the likelihood is 0 unless the distance is
-        (0.1, 0.05, 1.0, claim_likelihood(0.1, 0.05) + 1e-9),
-    ], ids=["zero-radius", "off-by-1e-9"])
-    def test_verdict_likelihood_off_its_numbers(self, pol_lg, alice, pad, numbers, tmp_path):
-        payload = encode_pol_verdict(b"s" * 16, Verdict(True, *numbers))
-        pol_lg.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
-        before = _heights(pol_lg)
-        with pytest.raises(ChaincodeError, match="likelihood"):
-            pol_lg.submit_transaction(pad, "pol", TX_POL_VERDICT, payload)
-        assert _heights(pol_lg) == before
-        rec = _next_record(pol_lg, pad, "pol", TX_POL_VERDICT, payload)
-        result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
-        _fails_at(result, rec, "likelihood")
-
     @pytest.mark.parametrize("case", sorted(IMPOSSIBLE_VERDICTS))
     def test_impossible_verdict_numbers(self, pol_lg, alice, pad, case, tmp_path):
-        flag, numbers = IMPOSSIBLE_VERDICTS[case]
-        payload = b"s" * 16 + bytes([flag]) + struct.pack(">dddd", *numbers)
+        payload = b"s" * 16 + struct.pack(">ddd", *IMPOSSIBLE_VERDICTS[case])
         pol_lg.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
         before = _heights(pol_lg)
         with pytest.raises(ChaincodeError, match="bad verdict payload"):
@@ -702,9 +681,22 @@ class TestReplayForgery:
         result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
         _fails_at(result, rec, "bad verdict payload")
 
+    def test_verdict_that_states_its_outcome_refused_by_length(self, pol_lg, alice, pad,
+                                                               tmp_path):
+        # The earlier format: an accepted flag and a likelihood after the id.
+        payload = (b"s" * 16 + b"\x01"
+                   + struct.pack(">dddd", 0.1, 0.05, 1.0, claim_likelihood(0.1, 0.05)))
+        pol_lg.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
+        before = _heights(pol_lg)
+        with pytest.raises(ChaincodeError, match="must be 40 bytes, got 49"):
+            pol_lg.submit_transaction(pad, "pol", TX_POL_VERDICT, payload)
+        assert _heights(pol_lg) == before
+        rec = _next_record(pol_lg, pad, "pol", TX_POL_VERDICT, payload)
+        result = _replay_with(pol_lg, rec, tmp_path / "a.log", standard_chaincodes)
+        _fails_at(result, rec, "must be 40 bytes, got 49")
+
     def test_overflowing_verdict_fails_cli_replay(self, pol_lg, alice, pad, tmp_path):
-        _, numbers = IMPOSSIBLE_VERDICTS["overflowing-distance"]
-        payload = b"s" * 16 + b"\x00" + struct.pack(">dddd", *numbers)
+        payload = b"s" * 16 + struct.pack(">ddd", *IMPOSSIBLE_VERDICTS["overflowing-distance"])
         pol_lg.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
         rec = _next_record(pol_lg, pad, "pol", TX_POL_VERDICT, payload)
         path = tmp_path / "a.log"
@@ -890,10 +882,26 @@ def _signed_certificate_era_authority():
     return authority, body + led.lp(authority.sign(body))
 
 
-# Height 1 of a log that an older format wrote: era -> (signer, certificate bytes).
-OLD_ERA_AUTHORITIES = {
-    "ed25519": _ed25519_era_authority,
-    "signed-certificate": _signed_certificate_era_authority,
+def _enrollment_era_log(authority):
+    """The text of a log whose height 1 on `_members` an older enrollment format wrote."""
+    signer, cert = authority()
+    return _signed_record(signer, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE, cert, 0, 1) + "\n"
+
+
+# What `uwbpol run --preset fig4 --seed 0 --audit` wrote while requests named
+# their UAV and verdicts stated their outcome (SHA-256 75ae178e...5a0f, that
+# format's golden digest of fig4-honest-0.log).
+STATED_OUTCOME_LOG = Path(__file__).parent / "data" / "fig4-honest-0-before-derived-verdicts.log"
+
+# A log that an older format wrote: era -> (its text, where and why replay stops).
+OLD_ERA_LOGS = {
+    "ed25519": (lambda: _enrollment_era_log(_ed25519_era_authority),
+                "at height 1 on channel '_members': bad certificate"),
+    "signed-certificate": (lambda: _enrollment_era_log(_signed_certificate_era_authority),
+                           "at height 1 on channel '_members': bad certificate"),
+    "stated-verdict-outcome": (lambda: STATED_OUTCOME_LOG.read_text(encoding="utf-8"),
+                               "at height 1 on channel 'pol': bad request payload: "
+                               "trailing bytes in request payload"),
 }
 
 
@@ -958,17 +966,16 @@ class TestHostileKeys:
                               cert.encode())
         assert lg._state.registry["eve"] == cert
 
-    @pytest.mark.parametrize("era", sorted(OLD_ERA_AUTHORITIES))
+    @pytest.mark.parametrize("era", sorted(OLD_ERA_LOGS))
     def test_old_era_log_fails_replay_without_traceback(self, era, tmp_path):
-        signer, cert = OLD_ERA_AUTHORITIES[era]()
+        text, where = OLD_ERA_LOGS[era]
         path = tmp_path / f"{era}.log"
-        path.write_text(_signed_record(signer, led.MEMBERSHIP_CHANNEL, led.ENROLL_TX_TYPE,
-                                       cert, 0, 1) + "\n", encoding="utf-8")
+        path.write_text(text(), encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "uwbpol", "replay", "--audit", str(path)],
                               capture_output=True, text=True, timeout=120, env=cli_env())
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "replay FAILED at height 1 on channel '_members': bad certificate" in proc.stderr
+        assert f"replay FAILED {where}" in proc.stderr
 
 
 class TestEnrollmentAuthority:
@@ -1019,7 +1026,7 @@ class TestLiveReplayAgreement:
         def payload(k, tx_type, submitter):
             if tx_type == TX_POL_REQUEST:
                 sessions.append(k.to_bytes(16, "big"))
-                req = PolRequest(sessions[-1], rng.choice((submitter, "uav")), "pad",
+                req = PolRequest(sessions[-1], submitter, "pad",
                                  rng.randbytes(16), rng.randbytes(16),
                                  LocationClaim(Position(1.0, 1.0), 0))
                 return encode_pol_request(req)

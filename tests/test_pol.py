@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -80,28 +80,41 @@ class TestGenerateCodes:
 class TestPayloadCodecs:
     def test_request_roundtrip(self):
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
-        assert decode_pol_request(encode_pol_request(req)) == req
+        assert decode_pol_request(encode_pol_request(req), "uav-1") == req
 
     def test_request_trailing_bytes_rejected(self):
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
         with pytest.raises(ValueError):
-            decode_pol_request(encode_pol_request(req) + b"\x00")
+            decode_pol_request(encode_pol_request(req) + b"\x00", "uav-1")
 
     def test_request_truncated_rejected(self):
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
         with pytest.raises(ValueError):
-            decode_pol_request(encode_pol_request(req)[:-5])
+            decode_pol_request(encode_pol_request(req)[:-5], "uav-1")
+
+    def test_request_uav_is_its_submitter(self):
+        req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
+        decoded = decode_pol_request(encode_pol_request(req), "uav-2")
+        assert decoded == replace(req, uav_id="uav-2")
 
     def test_verdict_roundtrip(self):
-        verdict = Verdict(True, 0.25, 0.05, 1.0, 0.9)
-        sid, back = decode_pol_verdict(encode_pol_verdict(SID, verdict))
+        verdict = Verdict(0.25, 0.05, 1.0)
+        payload = encode_pol_verdict(SID, verdict)
+        assert len(payload) == 40
+        sid, back = decode_pol_verdict(payload)
         assert sid == SID and back == verdict
 
-    def test_verdict_bad_flag_rejected(self):
-        buf = bytearray(encode_pol_verdict(SID, Verdict(False, 2.0, 0.1, 1.0, 0.0)))
-        buf[16] = 0x02
-        with pytest.raises(ValueError):
-            decode_pol_verdict(bytes(buf))
+    @pytest.mark.parametrize("numbers, accepted, likelihood", [
+        ((0.25, 0.05, 1.0), True, math.exp(-12.5)),
+        ((1.0, 0.05, 1.0), True, math.exp(-200.0)),  # the boundary accepts
+        ((2.0, 0.05, 1.0), False, 0.0),
+        ((0.0, 0.0, 1.0), True, 1.0),  # zero radius: 1 at distance 0, else 0
+        ((0.9, 0.0, 1.0), True, 0.0),
+    ])
+    def test_verdict_outcome_follows_its_numbers(self, numbers, accepted, likelihood):
+        verdict = Verdict(*numbers)
+        assert (verdict.accepted, verdict.likelihood) == (accepted, pytest.approx(likelihood))
+        assert astuple(verdict) == (accepted, *numbers, verdict.likelihood)
 
 
 def _estimate(x, y, err_radius=0.05, converged=True):
@@ -165,7 +178,7 @@ class TestUavMachine:
         assert s.state is SessionState.REQUESTED
         submit = next(a for a in actions if isinstance(a, SubmitTx))
         assert submit.tx_type == "POL_REQUEST"
-        req = decode_pol_request(submit.payload)
+        req = decode_pol_request(submit.payload, "uav-1")
         assert req.session_id == SID
         assert req.code_uav == CODE_U and req.code_platform == CODE_P
         assert req.claim == CLAIM
@@ -173,7 +186,7 @@ class TestUavMachine:
     def test_commit_event_moves_to_polling(self):
         s0, actions = uav_step(uav_session(), Start(), UAV_CTX)
         payload = next(a for a in actions if isinstance(a, SubmitTx)).payload
-        s1, _ = uav_step(s0, RequestIn(decode_pol_request(payload)), UAV_CTX)
+        s1, _ = uav_step(s0, RequestIn(decode_pol_request(payload, "uav-1")), UAV_CTX)
         assert s1.state is SessionState.POLLING
 
     def test_good_poll_triggers_response(self):
@@ -203,13 +216,13 @@ class TestUavMachine:
         assert actions == []
 
     def test_verdict_drives_terminal(self):
-        verdict = Verdict(True, 0.02, 0.05, 1.0, 0.99)
+        verdict = Verdict(0.02, 0.05, 1.0)
         s, _ = uav_step(uav_session(SessionState.VALIDATING), VerdictIn(SID, verdict),
                         UAV_CTX)
         assert s.state is SessionState.AUTHORIZED
         assert s.verdict == verdict
 
-        rejected = Verdict(False, 2.0, 0.05, 1.0, 0.0)
+        rejected = Verdict(2.0, 0.05, 1.0)
         s2, _ = uav_step(uav_session(SessionState.VALIDATING), VerdictIn(SID, rejected),
                          UAV_CTX)
         assert s2.state is SessionState.REJECTED
@@ -219,7 +232,7 @@ class TestUavMachine:
             uav_step(uav_session(SessionState.INIT), TimeoutIn(), UAV_CTX)
         with pytest.raises(ProtocolViolationError):
             uav_step(uav_session(SessionState.REQUESTED),
-                     VerdictIn(SID, Verdict(True, 0, 0, 1, 1)), UAV_CTX)
+                     VerdictIn(SID, Verdict(0, 0, 1)), UAV_CTX)
         with pytest.raises(ProtocolViolationError):  # only the platform hears a failed sweep
             uav_step(uav_session(SessionState.RANGING), RangingResultIn(False), UAV_CTX)
 
@@ -342,35 +355,25 @@ class TestPolChaincode:
 
     def test_verdict_must_reference_open_session(self):
         lg, _, pad = self._ledger()
-        verdict = Verdict(True, 0.1, 0.05, 1.0, pol.claim_likelihood(0.1, 0.05))
-        payload = encode_pol_verdict(b"\x33" * 16, verdict)
+        payload = encode_pol_verdict(b"\x33" * 16, Verdict(0.1, 0.05, 1.0))
         with pytest.raises(ChaincodeError):
             lg.submit_transaction(pad, "pol", "POL_VERDICT", payload)
-
-    def test_inconsistent_verdict_rejected(self):
-        lg, uav, pad = self._ledger()
-        req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
-        lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
-        bad = Verdict(True, 3.0, 0.05, 1.0, 0.0)  # claims accept with d > buffer
-        with pytest.raises(ChaincodeError):
-            lg.submit_transaction(pad, "pol", "POL_VERDICT",
-                                  encode_pol_verdict(SID, bad))
 
     def test_verdict_with_radius_near_overflow_judged_on_its_numbers(self):
         lg, uav, pad = self._ledger()
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
         lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
-        with pytest.raises(ChaincodeError, match="likelihood"):
-            lg.submit_transaction(pad, "pol", "POL_VERDICT", encode_pol_verdict(
-                SID, Verdict(False, 1e154, 1e154, 1.0, 1.0)))
-        lg.submit_transaction(pad, "pol", "POL_VERDICT", encode_pol_verdict(
-            SID, Verdict(False, 1e154, 1e154, 1.0, math.exp(-0.5))))
+        lg.submit_transaction(pad, "pol", "POL_VERDICT",
+                              encode_pol_verdict(SID, Verdict(1e154, 1e154, 1.0)))
+        _, verdict = decode_pol_verdict(lg.transactions("pol")[-1].payload)
+        assert not verdict.accepted
+        assert verdict.likelihood == pytest.approx(math.exp(-0.5))
 
     def test_double_verdict_rejected(self):
         lg, uav, pad = self._ledger()
         req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
         lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
-        ok = Verdict(True, 0.1, 0.05, 1.0, pol.claim_likelihood(0.1, 0.05))
+        ok = Verdict(0.1, 0.05, 1.0)
         lg.submit_transaction(pad, "pol", "POL_VERDICT", encode_pol_verdict(SID, ok))
         assert lg.query_asset("pol", "pol-session-" + SID.hex()).version == 2
         with pytest.raises(ChaincodeError):
@@ -406,6 +409,7 @@ class TestRunSession:
         assert out.platform.state is SessionState.AUTHORIZED
         assert out.platform.verdict.accepted
         assert out.uav.verdict == out.platform.verdict
+        assert out.platform.uav_id == "uav-1"  # the request's submitter
 
     @pytest.mark.parametrize("with_verdict", [False, True],
                              ids=["request", "request-and-verdict"])
@@ -421,7 +425,7 @@ class TestRunSession:
         foreign = [(uav2, pol.TX_POL_REQUEST, encode_pol_request(
             PolRequest(sid, "uav-2", "pad-2", b"u" * 16, b"p" * 16, claim)))]
         if with_verdict:
-            verdict = Verdict(False, 2.0, 0.05, 1.0, pol.claim_likelihood(2.0, 0.05))
+            verdict = Verdict(2.0, 0.05, 1.0)
             foreign.append((pad2, pol.TX_POL_VERDICT, encode_pol_verdict(sid, verdict)))
         submit = lg.submit_transaction
 
