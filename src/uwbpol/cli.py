@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and emit per-attempt CSV")
     run_p.add_argument("scenario", nargs="?", default=None, help="scenario JSON file")
     run_p.add_argument("--preset", choices=sim.PRESET_NAMES, default=None)
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run_p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed, which drives the radio and "
+                            "session draws, not the ledger keys")
     run_p.add_argument("--out", default=None, help="write per-attempt CSV here")
     run_p.add_argument("--audit", default=None, help="write the ledger audit log here")
     run_p.set_defaults(func=cmd_run)

@@ -12,7 +12,9 @@ Signatures use the scheme of Hyperledger Fabric's membership service: ECDSA
 over P-256 with SHA-256. Public keys are 65-byte uncompressed X9.62 points,
 as in Fabric's X.509 certificates. Nonces come from RFC 6979, and signing
 keys derive from the ledger seed, so a run's audit log is reproducible byte
-for byte. A signature is stored as a fixed 64-byte r||s with s normalized to
+for byte. Ledger.fork copies the registry, journal, logs, assets and
+chaincode maps, and shares the immutable identities, keys and chaincodes.
+A signature is stored as a fixed 64-byte r||s with s normalized to
 the low half of the group order. Verification refuses any other length and
 any high s, as Fabric's crypto provider does, so a committed signature has
 exactly one accepted encoding.
@@ -281,6 +283,12 @@ class _Channel:
             raise ChaincodeInstallError(f"tx types {taken} already have a chaincode")
         self.chaincodes.update(dict.fromkeys(chaincode.TX_TYPES, chaincode))
 
+    def fork(self) -> "_Channel":
+        twin = _Channel([])
+        twin.log, twin.assets, twin.chaincodes = (
+            list(self.log), dict(self.assets), dict(self.chaincodes))
+        return twin
+
 
 def _verify(key: ec.EllipticCurvePublicKey, signature: bytes, data: bytes, what: str) -> None:
     """Refuse unless signature is a 64-byte low-s r||s over data under key."""
@@ -334,6 +342,14 @@ class LedgerState:
             for name in CHANNEL_ROLES
         }
         self.journal: list[tuple[int, Transaction]] = []  # (height, tx) in commit order
+
+    def fork(self) -> "LedgerState":
+        """A copy whose commits leave this state untouched; it shares the immutable parts."""
+        twin = object.__new__(LedgerState)
+        twin.registry, twin.keys = dict(self.registry), dict(self.keys)
+        twin.channels = {name: ch.fork() for name, ch in self.channels.items()}
+        twin.journal = list(self.journal)
+        return twin
 
     def channel(self, name: str) -> _Channel:
         ch = self.channels.get(name)
@@ -446,6 +462,14 @@ class Ledger:
         self.authority = issue_identity(seed, "authority", Role.AUTHORITY, self.clock.now_ns)
         self.submit_transaction(self.authority, MEMBERSHIP_CHANNEL, ENROLL_TX_TYPE,
                                 self.authority.certificate.encode())
+
+    def fork(self) -> "Ledger":
+        """An independent ledger with this one's records, on a new clock at its time."""
+        twin = object.__new__(Ledger)
+        twin.clock = SimClock(self.clock.now_ns)
+        twin._seed, twin.authority = self._seed, self.authority
+        twin._state = self._state.fork()
+        return twin
 
     # -- identities --
 

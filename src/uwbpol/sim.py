@@ -2,8 +2,13 @@
 
 A scenario fixes the world (anchor layout, UAV attempts, channel model,
 error buffer, optional attack, seed); run() executes every attempt as an
-independent handshake session and reports what happened. Reports are a pure
-function of (scenario, seed).
+independent handshake session and reports what happened. Reports and audit
+logs are a pure function of (scenario, seed).
+
+Ledger keys belong to the world, not to the run: the authority certifies
+uav-1 and pad-1 once per process, on a ledger keyed by LEDGER_SEED, and
+each run commits on a fork of that ledger. The run seed drives the radio
+and the session draws alone.
 
 Each scenario invariant is checked once, by the constructor of the frozen
 type that holds it: AnchorSet (dimension, count, unique ids, z = 0 in 2D,
@@ -16,6 +21,7 @@ the same ScenarioError, its message led by the field path.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -23,10 +29,9 @@ import statistics
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
-from .clock import SimClock
 from .errors import FrameEncodingError, ScenarioError, UwbPolError
 from .geo import AnchorSet, EstimateResult, Position
-from .ledger import DEFAULT_CHANNEL, Ledger, Role, issue_identity
+from .ledger import DEFAULT_CHANNEL, Identity, Ledger, Role, issue_identity
 from .pol import (
     LocationClaim,
     PolChaincode,
@@ -53,6 +58,7 @@ MAX_COORD_M = 1e6
 UAV_NODE_ID = "uav"
 UAV_IDENTITY = "uav-1"
 PLATFORM_IDENTITY = "pad-1"
+LEDGER_SEED = 0  # the world's keys; no run seed reaches them
 
 
 def _is_index(value, stop: int) -> bool:
@@ -344,17 +350,24 @@ def _replay_tamper(stale_session_id: bytes, stale_code: bytes):
 
 # -- execution ---------------------------------------------------------------------
 
+@functools.cache
+def _bootstrap() -> tuple[Ledger, Identity, Identity]:
+    """The world's ledger, with PolChaincode, uav-1 and pad-1; runs only fork it."""
+    lg = Ledger(seed=LEDGER_SEED)
+    lg.install_chaincode(DEFAULT_CHANNEL, PolChaincode())
+    return (lg, lg.enroll_identity(UAV_IDENTITY, Role.UAV),
+            lg.enroll_identity(PLATFORM_IDENTITY, Role.PLATFORM))
+
+
 def run(scenario: Scenario, seed_override: Optional[int] = None) -> RunReport:
     """Run every attempt of the scenario as an independent session."""
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)  # Scenario checks the seed
     seed = scenario.seed
     master = random.Random(seed)
-    clock = SimClock()
-    lg = Ledger(seed=seed, clock=clock)
-    lg.install_chaincode(DEFAULT_CHANNEL, PolChaincode())
-    uav_identity = lg.enroll_identity(UAV_IDENTITY, Role.UAV)
-    platform_identity = lg.enroll_identity(PLATFORM_IDENTITY, Role.PLATFORM)
+    world, uav_identity, platform_identity = _bootstrap()
+    lg = world.fork()
+    clock = lg.clock
 
     channel = ChannelModel(**asdict(scenario.channel), seed=master.getrandbits(64), clock=clock)
     anchor_nodes = tuple(RadioNode(a_id, pos) for a_id, pos in scenario.anchors.anchors)
@@ -377,7 +390,7 @@ def run(scenario: Scenario, seed_override: Optional[int] = None) -> RunReport:
                                      claim_pos.z + off.z)
             elif attack.kind == ATTACK_WRONG_IDENTITY:
                 # A well-formed identity that this ledger never enrolled.
-                identity = issue_identity(seed, "rogue-uav", Role.UAV, clock.now_ns)
+                identity = issue_identity(LEDGER_SEED, "rogue-uav", Role.UAV, clock.now_ns)
             elif attack.kind == ATTACK_CODE_REPLAY:
                 if last_session is not None:
                     stale_sid, stale_code = last_session

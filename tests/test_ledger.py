@@ -351,6 +351,26 @@ class TestAuditReplay:
         assert not result.ok and result.records == 0
         assert "cannot read audit log" in result.message
 
+    def test_renumbered_session_fails_on_its_tx_id(self, tmp_path):
+        # A fig4 log with its first session (pol heights 1-2) cut out and the
+        # second renumbered into its place has no height gap, and every
+        # signature and chaincode rule still holds; the tx id binds each
+        # record to the height it was committed at.
+        path = tmp_path / "audit.log"
+        sim.run(sim.get_preset("fig4"), seed_override=0).ledger.write_audit_log(path)
+        kept = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            parts = line.split("\t")
+            if parts[2] == "pol":
+                if int(parts[0]) <= 2:
+                    continue
+                parts[0] = str(int(parts[0]) - 2)
+            kept.append("\t".join(parts))
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        result = replay_audit_log(path, chaincode_factory=standard_chaincodes)
+        assert (result.ok, result.records, result.message) == (False, 3, "tx id mismatch")
+        assert (result.failure_height, result.failure_channel) == (1, "pol")
+
     def test_height_gap_detected(self, lg, alice, pad, tmp_path):
         self._populate(lg, alice, pad)
         path = tmp_path / "audit.log"
@@ -361,6 +381,80 @@ class TestAuditReplay:
         result = replay_audit_log(path, chaincode_factory=asset_only)
         assert not result.ok
         assert "height gap" in result.message
+
+
+class TestAdmissionBoundaries:
+    @pytest.mark.parametrize("past_valid_to_ns, admitted", [(0, True), (1, False)])
+    def test_certificate_valid_through_valid_to(self, lg, alice, past_valid_to_ns, admitted):
+        lg.clock.advance(alice.certificate.valid_to + past_valid_to_ns - lg.clock.now_ns)
+        if admitted:
+            assert lg.submit_transaction(alice, "pol", ASSET_CREATE,
+                                         encode_asset_payload("x", b"d")).height == 1
+        else:
+            _submit_refused(lg, alice, "not valid")
+
+    def test_equal_timestamps_admitted(self, lg, alice, tmp_path):
+        # Only a timestamp earlier than the previous commit's is refused.
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
+        previous = lg.transactions("pol")[-1].timestamp
+        rec = _next_record(lg, alice, "pol", ASSET_CREATE, encode_asset_payload("y", b"d"),
+                           timestamp=previous)
+        result = _replay_with(lg, rec, tmp_path / "a.log")
+        assert result.ok, result.message
+        assert result.records == len(lg._state.journal) + 1
+
+    def test_empty_asset_data_admitted(self, lg, alice, tmp_path):
+        # The payload then ends in a zero length prefix and nothing after it.
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b""))
+        assert lg.query_asset("pol", "x").data == b""
+        path = tmp_path / "a.log"
+        lg.write_audit_log(path)
+        assert replay_audit_log(path, chaincode_factory=asset_only).ok
+
+    def test_trailing_byte_in_asset_payload_refused(self, lg, alice):
+        before = _heights(lg)
+        with pytest.raises(ChaincodeError, match="trailing bytes"):
+            lg.submit_transaction(alice, "pol", ASSET_CREATE,
+                                  encode_asset_payload("x", b"d") + b"\x00")
+        assert _heights(lg) == before
+
+
+class TestFork:
+    def test_commit_on_a_fork_shows_nowhere_else(self, lg, alice):
+        first, second = lg.fork(), lg.fork()
+        assert first.clock is not lg.clock and first.clock.now_ns == lg.clock.now_ns
+        first.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
+        first.enroll_identity("bob", Role.UAV)
+        assert first.height("pol") == 1 and len(first._state.journal) == 4
+        for other in (lg, second):
+            assert _heights(other) == {"_members": 2, "pol": 0}
+            assert other.assets_snapshot("pol") == {} and "bob" not in other._state.registry
+            assert other.clock.now_ns == lg.clock.now_ns < first.clock.now_ns
+
+    def test_install_on_a_fork_shows_nowhere_else(self, lg, alice, pad):
+        first, second = lg.fork(), lg.fork()
+        first.install_chaincode("pol", PolChaincode())
+        first.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
+        for other in (lg, second):
+            with pytest.raises(ChaincodeError, match="no chaincode"):
+                other.submit_transaction(alice, "pol", TX_POL_REQUEST, _pol_request(alice, pad))
+        lg.install_chaincode("pol", PolChaincode())  # its map never held the fork's
+
+    def test_fork_shares_immutable_parts(self, lg, alice):
+        twin = lg.fork()
+        assert twin.authority is lg.authority
+        assert twin._state.keys["alice"] is lg._state.keys["alice"]
+        assert twin._state.registry is not lg._state.registry
+
+    def test_fork_log_extends_its_parents(self, lg, alice, tmp_path):
+        twin = lg.fork()
+        twin.submit_transaction(alice, "pol", ASSET_CREATE, encode_asset_payload("x", b"d"))
+        parent_log, twin_log = tmp_path / "parent.log", tmp_path / "twin.log"
+        lg.write_audit_log(parent_log)
+        twin.write_audit_log(twin_log)
+        assert twin_log.read_text().startswith(parent_log.read_text())
+        result = replay_audit_log(twin_log, chaincode_factory=asset_only)
+        assert result.ok and result.assets["pol"] == twin.assets_snapshot("pol")
 
 
 class TestDeterminism:
@@ -796,7 +890,10 @@ class TestSignatureScheme:
 
     def test_one_sign_and_one_verify_per_record(self, monkeypatch):
         # Each committed record is signed once and verified once; an
-        # enrollment's only signature is its ENROLL record's.
+        # enrollment's only signature is its ENROLL record's. A run forks the
+        # process's ledger bootstrap, so it pays for its own 4 records alone;
+        # the bootstrap is built first, so the count does not depend on test order.
+        sim._bootstrap()
         calls = {"sign": 0, "verify": 0}
 
         def counted(name, fn):
@@ -808,7 +905,7 @@ class TestSignatureScheme:
         monkeypatch.setattr(led, "_sign", counted("sign", led._sign))
         monkeypatch.setattr(led, "_verify", counted("verify", led._verify))
         report = sim.run(sim.get_preset("fig4"), seed_override=0)
-        assert calls == {"sign": 7, "verify": 7}
+        assert calls == {"sign": 4, "verify": 4}
         assert len(report.ledger._state.journal) == 7
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from dataclasses import astuple, replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from uwbpol import geo, pol
 from uwbpol.clock import SimClock
 from uwbpol.errors import (
+    AssetConflictError,
     ChaincodeError,
     ProtocolViolationError,
     UnauthorizedError,
@@ -103,6 +105,14 @@ class TestPayloadCodecs:
         assert len(payload) == 40
         sid, back = decode_pol_verdict(payload)
         assert sid == SID and back == verdict
+
+    def test_verdict_distance_and_radius_may_be_zero(self):
+        assert decode_pol_verdict(encode_pol_verdict(SID, Verdict(0.0, 0.0, 1.0))) == (
+            SID, Verdict(0.0, 0.0, 1.0))
+
+    def test_verdict_buffer_zero_refused(self):
+        with pytest.raises(ValueError, match="buffer > 0"):
+            decode_pol_verdict(SID + struct.pack(">ddd", 0.5, 0.05, 0.0))
 
     @pytest.mark.parametrize("numbers, accepted, likelihood", [
         ((0.25, 0.05, 1.0), True, math.exp(-12.5)),
@@ -353,6 +363,20 @@ class TestPolChaincode:
         with pytest.raises(ChaincodeError):
             lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req2))
 
+    def test_closed_session_never_reopens(self):
+        # Fresh codes pass the code-reuse check, so only the session id's
+        # own asset keeps a second request from reopening a closed session.
+        lg, uav, pad = self._ledger()
+        req = PolRequest(SID, "uav-1", "pad-1", CODE_U, CODE_P, CLAIM)
+        lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(req))
+        lg.submit_transaction(pad, "pol", "POL_VERDICT",
+                              encode_pol_verdict(SID, Verdict(0.1, 0.05, 1.0)))
+        again = replace(req, code_uav=b"V" * 16, code_platform=b"Q" * 16)
+        with pytest.raises(AssetConflictError, match="already open"):
+            lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(again))
+        assert lg.query_asset("pol", "pol-session-" + SID.hex()).version == 2
+        assert lg.height("pol") == 2
+
     def test_verdict_must_reference_open_session(self):
         lg, _, pad = self._ledger()
         payload = encode_pol_verdict(b"\x33" * 16, Verdict(0.1, 0.05, 1.0))
@@ -442,6 +466,34 @@ class TestRunSession:
         assert out.uav.state is SessionState.AUTHORIZED
         assert out.platform.state is SessionState.AUTHORIZED
         assert out.platform.session_id == out.uav.session_id
+
+    def test_failed_sweep_retries_ranging(self, monkeypatch):
+        # The first sweep hears only `dimension` anchors, too few to solve;
+        # the platform sweeps again and the session completes on that one.
+        sweeps, real_sweep = [], pol.ranging_sweep
+
+        def sparse_first(*args, **kwargs):
+            ranges = real_sweep(*args, **kwargs)
+            if not sweeps:
+                ranges = ranges[:2] + [RangeStats(0)] * (len(ranges) - 2)
+            sweeps.append(ranges)
+            return ranges
+
+        monkeypatch.setattr(pol, "ranging_sweep", sparse_first)
+        lg, channel, uav_party, platform_party, clock = session_world()
+        assert platform_party.anchor_set.dimension == 2
+        claim = LocationClaim(Position(3.95, 2.705), clock.now_ns)
+        out = run_session(uav_party, platform_party, lg, channel, claim,
+                          random.Random(1), buffer=1.0)
+        assert len(sweeps) == 2
+        assert sum(r.count > 0 for r in sweeps[0]) == 2
+        ranging = [entry[2:] for entry in out.trace
+                   if entry[1] == "platform" and entry[2] == "RANGING"]
+        assert ranging[0] == ("RANGING", "RangingResultIn", "RANGING",
+                              ("StartRanging", "SetTimer"))
+        assert ranging[1][1:3] == ("RangingResultIn", "VALIDATING")
+        assert out.uav.state is SessionState.AUTHORIZED
+        assert out.platform.state is SessionState.AUTHORIZED
 
     def test_replayed_poll_aborts_with_code_mismatch(self):
         lg, channel, uav_party, platform_party, clock = session_world()

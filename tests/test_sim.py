@@ -301,6 +301,9 @@ class TestRun:
         assert report.records[1].terminal_state == "AUTHORIZED"
 
     def test_wrong_identity_builds_no_second_ledger(self, monkeypatch):
+        # A run forks the process's ledger bootstrap, built here first so
+        # that the count does not depend on test order, and builds none.
+        sim._bootstrap()
         built = []
 
         class CountingLedger(sim.Ledger):
@@ -311,10 +314,11 @@ class TestRun:
         monkeypatch.setattr(sim, "Ledger", CountingLedger)
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_WRONG_IDENTITY, 1))
         report = run(sc, seed_override=7)
-        assert built == [7]
+        assert built == []
         assert report.records[1].abort_reason == "unauthorized"
 
     def test_one_encode_and_one_decode_per_record(self, monkeypatch):
+        sim._bootstrap()  # built first, so the count does not depend on test order
         calls = {"build": 0, "request": 0, "verdict": 0}
 
         def counted(key, fn):
@@ -331,11 +335,12 @@ class TestRun:
                             counted("verdict", pol.decode_pol_verdict))
         report = run(get_preset("fig4"), seed_override=7)
         assert [r.terminal_state for r in report.records] == ["AUTHORIZED"] * 2
-        # 3 enrollments, then a request and a verdict per session; each record
-        # is built once on submit and once on commit, and each POL record is
-        # decoded once by its chaincode and once for the session's machines.
+        # The bootstrap's 3 enrollments, then a request and a verdict per
+        # session; each of the run's records is built once on submit and once
+        # on commit, and each POL record is decoded once by its chaincode and
+        # once for the session's machines.
         assert len(report.ledger._state.journal) == 7
-        assert calls == {"build": 14, "request": 4, "verdict": 4}
+        assert calls == {"build": 8, "request": 4, "verdict": 4}
 
     def test_code_replay_aborts_without_ranging(self):
         sc = replace(get_preset("fig4"), attack=AttackSpec(ATTACK_CODE_REPLAY, 1))
@@ -370,6 +375,46 @@ class TestRun:
         result = replay_audit_log(path, chaincode_factory=standard_chaincodes)
         assert result.ok
         assert result.assets["pol"] == report.ledger.assets_snapshot("pol")
+
+
+def _run_and_log(scenario, seed, path):
+    report = run(scenario, seed_override=seed)
+    report.ledger.write_audit_log(path)
+    return report, path.read_bytes()
+
+
+class TestLedgerBootstrap:
+    SPOOFED = replace(get_preset("fig4"),
+                      attack=AttackSpec(ATTACK_GNSS_SPOOF, 1, Position(2.0, 0.0, 0.0)))
+
+    def test_runs_leave_the_bootstrap_as_built(self):
+        for seed in range(5):
+            for scenario in (get_preset("fig4"), get_preset("fig5"), self.SPOOFED):
+                report = run(scenario, seed_override=seed)
+                report.ledger.enroll_identity(f"extra-{seed}", ledger.Role.UAV)
+        world, uav, pad = sim._bootstrap()
+        assert len(world._state.journal) == 3
+        assert (world.height("_members"), world.height("pol")) == (3, 0)
+        assert world.clock.now_ns == 3 * ledger.COMMIT_LATENCY_NS
+        assert (uav.name, pad.name) == (sim.UAV_IDENTITY, sim.PLATFORM_IDENTITY)
+
+    def test_report_and_log_same_cold_warm_and_after_other_runs(self, tmp_path):
+        sim._bootstrap.cache_clear()
+        cold = _run_and_log(self.SPOOFED, 3, tmp_path / "cold.log")
+        warm = _run_and_log(self.SPOOFED, 3, tmp_path / "warm.log")
+        for seed in (0, 9):
+            for preset in ("fig5", "fig4"):
+                run(get_preset(preset), seed_override=seed)
+        after = _run_and_log(self.SPOOFED, 3, tmp_path / "after.log")
+        assert cold == warm == after
+
+    def test_run_seed_reaches_no_key(self):
+        first = run(get_preset("fig4"), seed_override=1).ledger
+        second = run(get_preset("fig5"), seed_override=2).ledger
+        assert first._state.journal[:3] == second._state.journal[:3]
+        assert first._state.registry == second._state.registry
+        world = ledger.Ledger(seed=sim.LEDGER_SEED)
+        assert world.authority.public_key == first.authority.public_key
 
 
 class TestSweep:
