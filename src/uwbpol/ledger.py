@@ -26,7 +26,9 @@ sign. The root's own ENROLL comes first; only the root enrolls after it.
 
 Every admission decision is made in one place, LedgerState.commit: the live
 ledger commits through it, and audit replay re-commits each logged record
-through it, so the two accept exactly the same transactions.
+through it, so the two accept exactly the same transactions. Replay has
+OpenSSL verify every signature; live, only those that a key other than the
+registered one made, since a fresh signature by that key cannot fail.
 
 As in Fabric, each tx type on a channel has exactly one chaincode, and
 chaincode state lives only in the world state: the channel's dict of assets.
@@ -164,6 +166,12 @@ class Identity:
 
     def sign(self, data: bytes) -> bytes:
         return _sign(self.signing_key, data)
+
+
+def _encoded_point(key: ec.EllipticCurvePrivateKey) -> bytes:
+    """The 65-byte uncompressed X9.62 encoding of key's public point."""
+    return key.public_key().public_bytes(
+        serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
 
 
 def _sign(key: ec.EllipticCurvePrivateKey, data: bytes) -> bytes:
@@ -357,7 +365,7 @@ class LedgerState:
             raise NoSuchChannelError(f"no such channel {name!r}")
         return ch
 
-    def commit(self, tx: Transaction) -> int:
+    def commit(self, tx: Transaction, signer: Optional[bytes] = None) -> int:
         """Admit tx at the next height of its channel and return that height.
 
         The signed bytes are built here, once, from tx's own fields; they
@@ -368,7 +376,9 @@ class LedgerState:
         that root. An ENROLL's key is parsed here, once, and must be an
         uncompressed P-256 point. Every other record needs the chaincode
         that its channel maps its tx type to. Any failure raises a
-        LedgerError and leaves the state untouched.
+        LedgerError and leaves the state untouched. signer is only for
+        submit_transaction's own fresh signature: the encoded point of the key
+        that has just signed tx. If it is the registered key, no verify runs.
         """
         _check_log_field("submitter", tx.submitter)
         _check_log_field("tx type", tx.tx_type)
@@ -412,7 +422,8 @@ class LedgerState:
             )
         if self.journal and tx.timestamp < self.journal[-1][1].timestamp:
             raise InvalidTransactionError("timestamp earlier than the previous commit")
-        _verify(key, tx.signature, signed, "transaction signature")
+        if signer != cert.public_key:
+            _verify(key, tx.signature, signed, "transaction signature")
 
         chaincode = ch.chaincodes.get(tx.tx_type)
         if chaincode is not None:
@@ -439,10 +450,8 @@ def issue_identity(seed: int, name: str, role: Role, valid_from: int) -> Identit
     ).digest()
     digest = hashlib.sha256(key_material + b"|" + name.encode("utf-8")).digest()
     key = ec.derive_private_key(int.from_bytes(digest, "big") % (_ORDER - 1) + 1, _CURVE)
-    public = key.public_key().public_bytes(
-        serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
-    return Identity(Certificate(name, role, public, valid_from, valid_from + CERT_VALIDITY_NS),
-                    key)
+    return Identity(Certificate(name, role, _encoded_point(key), valid_from,
+                                valid_from + CERT_VALIDITY_NS), key)
 
 
 class Ledger:
@@ -518,7 +527,7 @@ class Ledger:
             timestamp=timestamp,
             signature=identity.sign(signed),
         )
-        self._state.commit(tx)
+        self._state.commit(tx, signer=_encoded_point(identity.signing_key))
         self.clock.advance(COMMIT_LATENCY_NS)
         return Receipt(height, tx_id)
 

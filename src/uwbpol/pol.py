@@ -243,7 +243,7 @@ class PolChaincode:
                 raise ChaincodeError(f"bad request payload: {exc}") from exc
             asset_id = SESSION_ASSET_PREFIX + req.session_id.hex()
             if asset_id in assets:
-                raise AssetConflictError(f"session {req.session_id.hex()} already open")
+                raise AssetConflictError(f"session {req.session_id.hex()} already exists")
             code_ids = [CODE_ASSET_PREFIX + c.hex() for c in (req.code_uav, req.code_platform)]
             if any(code_id in assets for code_id in code_ids):
                 raise ChaincodeError("session code reuse rejected")

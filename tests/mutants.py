@@ -31,8 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = {
-    "ledger.py": ("LedgerState.commit", "AssetChaincode.apply", "_verify",
-                  "Certificate.decode", "read_lp"),
+    "ledger.py": ("LedgerState.commit", "AssetChaincode.apply", "_verify", "_public_key",
+                  "Certificate.decode", "read_lp", "_check_log_field", "replay_audit_log"),
     "pol.py": ("PolChaincode.apply", "decode_pol_request", "decode_pol_verdict",
                "route_records"),
 }

@@ -1,20 +1,24 @@
 """Hostile ledger traffic, generated: live commit and audit replay must agree.
 
 A Hypothesis state machine drives one Ledger with the standard chaincodes.
-Its rules submit, as the UAV, the platform or an identity that another
-ledger's authority certified: asset transactions on plain, session and code
+Its rules submit, as the UAV, the platform, an identity that another
+ledger's authority certified, or a look-alike that holds the UAV's
+certificate with another key: asset transactions on plain, session and code
 ids; POL requests, whose UAV is their submitter, with fresh or reused
 session ids and codes; and verdicts of three numbers that go up to 1e200, so
 that some of them overflow the likelihood the ledger derives. After every
-submit, only UwbPolError subclasses may escape, and a refused submit leaves
-heights and state as they were. At teardown, the written audit log must
-replay ok to the same assets. Some verdicts must commit over the whole run.
+submit, only UwbPolError subclasses may escape, a refused submit leaves
+heights and state as they were, and no look-alike's submit commits. At
+teardown, the written audit log must replay ok to the same assets. Some
+verdicts must commit over the whole run.
 """
 
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule
@@ -46,8 +50,11 @@ from uwbpol.pol import (
 )
 
 FOREIGN = Ledger(seed=777).enroll_identity("intruder", Role.UAV)
-WHO = st.sampled_from(["uav-1", "pad-1", FOREIGN.name])
-PLATFORM = st.one_of(st.just("pad-1"), WHO)  # weighted toward the enrolled platform
+LOOKALIKE = "uav-1 look-alike"  # key in parties: uav-1's certificate, another signing key
+WHO = st.sampled_from(["uav-1", "pad-1", FOREIGN.name, LOOKALIKE])
+# Weighted toward the enrolled platform, so that some verdicts still commit
+# while the look-alike takes a quarter of WHO's draws.
+PLATFORM = st.one_of(st.just("pad-1"), st.just("pad-1"), WHO)
 ID16 = st.binary(min_size=16, max_size=16)
 # Finite verdict numbers: small ones, and ones near and past where a square
 # overflows a float.
@@ -68,9 +75,12 @@ class HostileLedger(RuleBasedStateMachine):
         super().__init__()
         self.lg = Ledger(seed=5)
         self.lg.install_chaincode(DEFAULT_CHANNEL, PolChaincode())
-        self.parties = {"uav-1": self.lg.enroll_identity("uav-1", Role.UAV),
+        uav = self.lg.enroll_identity("uav-1", Role.UAV)
+        self.parties = {"uav-1": uav,
                         "pad-1": self.lg.enroll_identity("pad-1", Role.PLATFORM),
-                        FOREIGN.name: FOREIGN}
+                        FOREIGN.name: FOREIGN,
+                        LOOKALIKE: replace(uav, signing_key=ec.derive_private_key(
+                            3, ec.SECP256R1()))}
 
     def _state(self):
         return ({ch: self.lg.height(ch) for ch in CHANNEL_ROLES},
@@ -84,6 +94,7 @@ class HostileLedger(RuleBasedStateMachine):
         except UwbPolError:
             assert self._state() == before
             return False
+        assert who != LOOKALIKE, "a look-alike identity's submit committed"
         return True
 
     @rule(target=sessions, sid=ID16)

@@ -857,6 +857,26 @@ class TestReplayForgery:
 P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named ledger function from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(led, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(led, name, counted)
+    return calls
+
+
+# Each attack of sim.ATTACK_KINDS on attempt 0, and none.
+RUN_ATTACKS = {
+    "honest": None,
+    "spoof": sim.AttackSpec(sim.ATTACK_GNSS_SPOOF, 0, Position(2.0, 0.0)),
+    "identity": sim.AttackSpec(sim.ATTACK_WRONG_IDENTITY, 0),
+    "replay": sim.AttackSpec(sim.ATTACK_CODE_REPLAY, 0),
+}
+
+
 class TestSignatureScheme:
     def test_rfc6979_p256_sha256_sample(self, alice):
         # RFC 6979 A.2.5: P-256, SHA-256, message "sample". The library's s
@@ -888,25 +908,54 @@ class TestSignatureScheme:
         assert hashlib.sha256(cert.encode()).hexdigest() == (
             "b844009d80fbe2eec0a45b54dabaa5f53bfa16596b60971d30bfe2847eaa000f")
 
-    def test_one_sign_and_one_verify_per_record(self, monkeypatch):
-        # Each committed record is signed once and verified once; an
-        # enrollment's only signature is its ENROLL record's. A run forks the
-        # process's ledger bootstrap, so it pays for its own 4 records alone;
-        # the bootstrap is built first, so the count does not depend on test order.
+    def test_run_signs_each_record_once_and_replay_verifies_each(self, monkeypatch,
+                                                                 tmp_path):
+        # Each committed record is signed once; an enrollment's only signature
+        # is its ENROLL record's. A run forks the process's ledger bootstrap,
+        # so it pays for its own 4 records alone; the bootstrap is built first,
+        # so the count does not depend on test order. The registered keys made
+        # those 4 signatures, so OpenSSL verifies none of them live. Replaying
+        # the run's log verifies each of its 7 records, the bootstrap's too.
         sim._bootstrap()
-        calls = {"sign": 0, "verify": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(led, "_sign", counted("sign", led._sign))
-        monkeypatch.setattr(led, "_verify", counted("verify", led._verify))
+        calls = _count_calls(monkeypatch, "_sign", "_verify")
         report = sim.run(sim.get_preset("fig4"), seed_override=0)
-        assert calls == {"sign": 4, "verify": 4}
+        assert calls == {"_sign": 4, "_verify": 0}
         assert len(report.ledger._state.journal) == 7
+        path = tmp_path / "fig4.log"
+        report.ledger.write_audit_log(path)
+        result = replay_audit_log(path, chaincode_factory=standard_chaincodes)
+        assert (result.ok, result.records) == (True, 7)
+        assert calls == {"_sign": 4, "_verify": 7}
+
+    def test_lookalike_identity_verified_by_openssl(self, lg, alice, monkeypatch):
+        # A registered certificate with a foreign signing key: the key's point
+        # is not the registered one, so OpenSSL verifies the record and refuses
+        # it. The genuine identity then commits without a verify.
+        lookalike = replace(alice, signing_key=ec.derive_private_key(1, ec.SECP256R1()))
+        calls = _count_calls(monkeypatch, "_verify")
+        payload = encode_asset_payload("x", b"d")
+        before = _state_of(lg)
+        with pytest.raises(UnauthorizedError, match="transaction signature invalid"):
+            lg.submit_transaction(lookalike, "pol", ASSET_CREATE, payload)
+        assert calls == {"_verify": 1} and _state_of(lg) == before
+        lg.submit_transaction(alice, "pol", ASSET_CREATE, payload)
+        assert calls == {"_verify": 1}
+
+    @pytest.mark.parametrize("attack", RUN_ATTACKS.values(), ids=RUN_ATTACKS)
+    @pytest.mark.parametrize("preset", ["fig4", "fig5"])
+    def test_records_committed_unverified_pass_openssl(self, preset, attack):
+        # Equivalence of the live fast path with OpenSSL: every record a run
+        # commits past the bootstrap verifies under its submitter's registered key.
+        bootstrap = len(sim._bootstrap()[0]._state.journal)
+        scenario = replace(sim.get_preset(preset), attack=attack)
+        checked = 0
+        for seed in range(10):
+            state = sim.run(scenario, seed_override=seed).ledger._state
+            for _, tx in state.journal[bootstrap:]:
+                led._verify(state.keys[tx.submitter], tx.signature, tx.signed_bytes(),
+                            "committed record")
+                checked += 1
+        assert checked >= 2 * 10  # one session of each run, at least, commits
 
 
 def _split(signature):

@@ -372,7 +372,7 @@ class TestPolChaincode:
         lg.submit_transaction(pad, "pol", "POL_VERDICT",
                               encode_pol_verdict(SID, Verdict(0.1, 0.05, 1.0)))
         again = replace(req, code_uav=b"V" * 16, code_platform=b"Q" * 16)
-        with pytest.raises(AssetConflictError, match="already open"):
+        with pytest.raises(AssetConflictError, match="already exists"):
             lg.submit_transaction(uav, "pol", "POL_REQUEST", encode_pol_request(again))
         assert lg.query_asset("pol", "pol-session-" + SID.hex()).version == 2
         assert lg.height("pol") == 2

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -63,7 +64,29 @@ def valid_doc():
     }
 
 
+# A shape error of a fig4 document: case -> (break the document in place, message).
+SHAPE_ERRORS = {
+    "channel-not-an-object": (lambda doc: doc.update(channel=[]),
+                              "channel: expected an object"),
+    "buffer-a-string": (lambda doc: doc.update(buffer="1.0"), "buffer: expected a number"),
+    "buffer-infinite": (lambda doc: doc.update(buffer=math.inf), "buffer: must be finite"),
+    "name-empty": (lambda doc: doc.update(name=""), "name: expected a non-empty string"),
+    "anchors-an-object": (lambda doc: doc.update(anchors={}), "anchors: expected a list"),
+    "anchor-id-a-number": (lambda doc: doc["anchors"][0].update(id=0),
+                           "anchors[0].id: expected a string"),
+    "attempts-an-object": (lambda doc: doc.update(attempts={}), "attempts: expected a list"),
+}
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("case", SHAPE_ERRORS)
+    def test_shape_error_of_fig4_document(self, case):
+        breaks, message = SHAPE_ERRORS[case]
+        doc = copy.deepcopy(sim._PRESETS["fig4"])
+        breaks(doc)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(doc)
+
     def test_valid_document(self):
         sc = scenario_from_dict(valid_doc())
         assert sc.name == "t" and len(sc.attempts) == 1
